@@ -9,8 +9,6 @@ difficulty/diversity reports.
 from .errors import ParseError, PreconditionError, TagEvolError
 from .evolution import (
     PRESETS,
-    EvolutionJob,
-    EvolutionResult,
     RecordFailed,
     RoundsResult,
     build_evolution_prompt,
@@ -61,8 +59,6 @@ __all__ = [
     "ChatRequest",
     "ChatResponse",
     "DatasetManifest",
-    "EvolutionJob",
-    "EvolutionResult",
     "EvolvedRecord",
     "Gateway",
     "HttpBackend",

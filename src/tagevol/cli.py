@@ -12,7 +12,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import PreconditionError, TagEvolError
@@ -76,12 +76,16 @@ class RunConfig:
         if self.retries < 0:
             raise PreconditionError("retries must be >= 0")
         if self.budgets is not None:
-            if not self.budgets or any(b < 1 for b in self.budgets):
-                raise PreconditionError("budgets must be a nonempty list of integers >= 1")
-            if self.candidate_size < max(self.budgets):
-                raise PreconditionError(
-                    f"candidate_size {self.candidate_size} is smaller than the largest budget {max(self.budgets)}"
-                )
+            self.check_budgets(self.budgets)
+
+    def check_budgets(self, budgets: list[int]) -> None:
+        """Budgets must be positive and fit in one candidate batch."""
+        if not budgets or any(b < 1 for b in budgets):
+            raise PreconditionError("budgets must be a nonempty list of integers >= 1")
+        if self.candidate_size < max(budgets):
+            raise PreconditionError(
+                f"candidate_size {self.candidate_size} is smaller than the largest budget {max(budgets)}"
+            )
 
     def model_for(self, stage: str) -> str:
         override = self.models.get(stage)
@@ -97,39 +101,7 @@ class RunConfig:
         return asdict(self)
 
 
-_CONFIG_KEYS = {
-    "endpoint",
-    "model",
-    "models",
-    "seed",
-    "candidate_size",
-    "budgets",
-    "max_in_flight",
-    "retries",
-    "temperature",
-    "response_temperature",
-    "max_tokens",
-    "top_p",
-    "cache_dir",
-    "no_cache",
-    "mock_script",
-}
-
-# Flags present on every subcommand; None means "not given, keep config value".
-_FLAG_TO_CONFIG = {
-    "endpoint": "endpoint",
-    "model": "model",
-    "seed": "seed",
-    "candidate_size": "candidate_size",
-    "max_in_flight": "max_in_flight",
-    "retries": "retries",
-    "temperature": "temperature",
-    "response_temperature": "response_temperature",
-    "max_tokens": "max_tokens",
-    "top_p": "top_p",
-    "cache_dir": "cache_dir",
-    "mock_script": "mock_script",
-}
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -148,12 +120,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if unknown:
             raise LoadError(path, 0, f"unknown config keys: {', '.join(sorted(unknown))}")
         values.update(loaded)
-    for flag, key in _FLAG_TO_CONFIG.items():
-        flag_value = getattr(args, flag, None)
+    # Common flags share their config field's name; None means "not given".
+    # --budgets is weighed against --preset in cmd_evolve instead.
+    for key in _CONFIG_KEYS - {"budgets"}:
+        flag_value = getattr(args, key, None)
         if flag_value is not None:
             values[key] = flag_value
-    if getattr(args, "no_cache", False):
-        values["no_cache"] = True
     config = RunConfig(**values)
     config.validate()
     return config
@@ -175,11 +147,18 @@ def make_gateway(config: RunConfig) -> Gateway:
     )
 
 
+def _json_text(payload) -> str:
+    return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+
+
+def _write_json(payload, path) -> None:
+    Path(path).write_text(_json_text(payload), encoding="utf-8")
+
+
 def _emit(payload: dict, out: str | None = None) -> None:
-    text = json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True)
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    print(text)
+        _write_json(payload, out)
+    print(_json_text(payload), end="")
 
 
 def cmd_tag(args: argparse.Namespace, config: RunConfig) -> int:
@@ -196,10 +175,7 @@ def cmd_tag(args: argparse.Namespace, config: RunConfig) -> int:
     )
     pool.built_from = {"path": str(args.seed_dataset), "records": len(records)}
     save_pool(pool, args.out)
-    Path(args.out).with_suffix(".report.json").write_text(
-        json.dumps(report.to_json(), ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(report.to_json(), Path(args.out).with_suffix(".report.json"))
     _emit(
         {
             "pool": str(args.out),
@@ -221,12 +197,7 @@ def cmd_evolve(args: argparse.Namespace, config: RunConfig) -> int:
         budgets = list(config.budgets)
     else:
         raise PreconditionError("no budgets configured; pass --budgets or --preset")
-    if any(b < 1 for b in budgets):
-        raise PreconditionError("budgets must be integers >= 1")
-    if config.candidate_size < max(budgets):
-        raise PreconditionError(
-            f"candidate_size {config.candidate_size} is smaller than the largest budget {max(budgets)}"
-        )
+    config.check_budgets(budgets)
     seeds = load_dataset(args.seed_dataset)
     pool = load_pool(args.pool)
     if pool.distinct_tag_count < max(budgets):
@@ -270,10 +241,7 @@ def cmd_evolve(args: argparse.Namespace, config: RunConfig) -> int:
         )
         write_manifest(manifest, manifest_path(path))
         written.append({"path": str(path), "round": round_index, "budget": budget, "records": len(round_records)})
-    (out_dir / "failures.json").write_text(
-        json.dumps(result.failures, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(result.failures, out_dir / "failures.json")
     _emit({"rounds": written, "failures": len(result.failures)})
     if seeds and any(not round_records for round_records in result.rounds):
         _stderr_json("backend_error", "every record of at least one round failed")
@@ -295,10 +263,7 @@ def cmd_respond(args: argparse.Namespace, config: RunConfig) -> int:
         max_tokens=config.max_tokens,
     )
     write_dataset(filled, out_path)
-    out_path.with_suffix(".failures.json").write_text(
-        json.dumps(report.failures, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(report.failures, out_path.with_suffix(".failures.json"))
     _emit(
         {
             "dataset": str(out_path),
@@ -367,13 +332,13 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="master rng seed (default 0)")
     parser.add_argument("--candidate-size", dest="candidate_size", type=int, help="candidate tag batch size (default 30)")
     parser.add_argument("--max-in-flight", dest="max_in_flight", type=int, help="max concurrent backend requests (default 4)")
-    parser.add_argument("--retries", type=int, help="backend and parse retries (default 3)")
+    parser.add_argument("--retries", type=int, help="transient-failure retries per request, and fresh-reply retries per unparseable reply (default 3); 401/403 are never retried")
     parser.add_argument("--temperature", type=float, help="sampling temperature for tagging/evolution (default 0.7)")
     parser.add_argument("--response-temperature", dest="response_temperature", type=float, help="sampling temperature for responses (default 0.0)")
     parser.add_argument("--max-tokens", dest="max_tokens", type=int, help="max output tokens (default 2048)")
     parser.add_argument("--top-p", dest="top_p", type=float, help="nucleus sampling cutoff (off by default)")
     parser.add_argument("--cache-dir", dest="cache_dir", help=f"response cache directory (default {DEFAULT_CACHE_DIR})")
-    parser.add_argument("--no-cache", dest="no_cache", action="store_true", help="disable the response cache")
+    parser.add_argument("--no-cache", dest="no_cache", action="store_true", default=None, help="disable the response cache")
     parser.add_argument("--mock-script", dest="mock_script", help="JSON mock script; replaces the HTTP backend")
 
 

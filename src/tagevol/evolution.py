@@ -26,6 +26,7 @@ from .gateway import (
     DEFAULT_TEMPERATURE,
     BackendError,
     ChatRequest,
+    ChatResponse,
     Gateway,
     user_message,
 )
@@ -38,7 +39,7 @@ from .records import (
     EvolvedRecord,
     InstructionRecord,
 )
-from .tagging import RejectedTag, TagPool, extract_balanced, fill_template, normalize_tag
+from .tagging import TagPool, extract_balanced, fill_template, normalized_tags
 
 log = logging.getLogger(__name__)
 
@@ -87,7 +88,7 @@ _SECTION_ORDER = ("subset", "plan", "rewritten", "final")
 
 
 class BadJob(TagEvolError):
-    """An evolution job violates its preconditions (budget vs candidates)."""
+    """An evolution prompt was requested with a bad budget or candidate batch."""
 
 
 class EmptyPool(TagEvolError):
@@ -104,24 +105,6 @@ class RecordFailed(TagEvolError):
 
 
 @dataclass(frozen=True)
-class EvolutionJob:
-    """One unit of work: a seed record, a budget and its candidate batch."""
-
-    record: InstructionRecord
-    budget: int
-    candidates: tuple[str, ...]
-    rng_seed: int | None = None
-
-    def __post_init__(self):
-        if self.budget < 1:
-            raise BadJob("budget must be >= 1")
-        if len(set(self.candidates)) != len(self.candidates):
-            raise BadJob("candidate tags must be distinct")
-        if len(self.candidates) < self.budget:
-            raise BadJob(f"need at least {self.budget} candidate tags, got {len(self.candidates)}")
-
-
-@dataclass(frozen=True)
 class ParsedEvolution:
     """The four reply sections: tag subset, plan, rewritten and final text."""
 
@@ -129,18 +112,6 @@ class ParsedEvolution:
     plan: str
     rewritten: str
     final: str
-
-
-@dataclass(frozen=True)
-class EvolutionResult:
-    """Outcome of one tag injection, before packaging into a record."""
-
-    evolved: str
-    selected_tags: list[str]
-    plan: str
-    rewritten: str
-    flags: list[str]
-    raw_digest: str
 
 
 def sample_candidates(pool: TagPool, size: int, rng: random.Random) -> list[str]:
@@ -213,14 +184,7 @@ def _parse_subset(section: str) -> list[str]:
         line = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
         line = line.strip("[]")
         items = [piece.strip().strip("'\"") for piece in line.split(",")]
-    tags: list[str] = []
-    for item in items:
-        try:
-            tag = normalize_tag(item)
-        except RejectedTag:
-            continue
-        if tag not in tags:
-            tags.append(tag)
+    tags = list(dict.fromkeys(tag for _, tag in normalized_tags(items)))
     if not tags:
         raise ParseError("BadSubset", f"no usable tags in step 1 subset: {text[:80]!r}")
     return tags
@@ -300,15 +264,16 @@ def evolve_record(
     *,
     model: str,
     round_index: int = 1,
-    rng_seed: int | None = None,
     temperature: float = DEFAULT_TEMPERATURE,
     max_tokens: int = DEFAULT_MAX_TOKENS,
 ) -> EvolvedRecord:
     """Evolve one record: sample candidates, prompt, parse, validate, package.
 
-    Each attempt draws a fresh candidate batch from ``rng``; unparseable
-    replies consume one of ``retries`` extra attempts. The returned record
-    carries full provenance (candidates, subset, plan, flags, reply digest).
+    Each attempt draws a fresh candidate batch from ``rng``; an unparseable
+    reply consumes one of ``retries`` extra attempts. A backend failure ends
+    the record at once, because the gateway has already retried the
+    transient ones. The returned record carries full provenance
+    (candidates, subset, plan, flags, reply digest).
     """
     if pool.distinct_tag_count < budget:
         raise RecordFailed(
@@ -317,55 +282,42 @@ def evolve_record(
             f"pool has {pool.distinct_tag_count} distinct tags but the budget needs {budget}",
         )
     digests: list[str] = []
-    last_error = "no attempts made"
-    for _ in range(retries + 1):
-        candidates = sample_candidates(pool, cand_size, rng)
-        job = EvolutionJob(
-            record=record, budget=budget, candidates=tuple(candidates), rng_seed=rng_seed
-        )
-        prompt = build_evolution_prompt(job.record, job.budget, job.candidates)
-        request = ChatRequest(
+    candidates: list[str] = []
+
+    def next_request() -> ChatRequest:
+        candidates[:] = sample_candidates(pool, cand_size, rng)
+        prompt = build_evolution_prompt(record, budget, candidates)
+        return ChatRequest(
             model=model,
             messages=(user_message(prompt),),
             temperature=temperature,
             max_tokens=max_tokens,
         )
-        try:
-            response = gateway.complete(request)
-        except BackendError as err:
-            last_error = str(err)
-            continue
-        digest = hashlib.sha256(response.content.encode("utf-8")).hexdigest()
-        digests.append(digest)
-        try:
-            parsed = parse_evolution_response(response.content)
-        except ParseError as err:
-            last_error = str(err)
-            continue
-        flags = validate_result(parsed, budget, candidates, record.instruction)
-        result = EvolutionResult(
-            evolved=parsed.final,
-            selected_tags=list(parsed.subset),
-            plan=parsed.plan,
-            rewritten=parsed.rewritten,
-            flags=flags,
-            raw_digest=digest,
-        )
-        return EvolvedRecord(
-            id=f"{record.id}:round{round_index}",
-            instruction=result.evolved,
-            response=None,
-            meta={},
-            parent_id=record.id,
-            round=round_index,
-            budget=budget,
-            selected_tags=result.selected_tags,
-            candidate_tags=list(candidates),
-            plan=result.plan,
-            flags=result.flags,
-            raw_digest=result.raw_digest,
-        )
-    raise RecordFailed(record.id, digests, f"no usable reply after {retries + 1} attempts: {last_error}")
+
+    def parse(response: ChatResponse) -> ParsedEvolution:
+        digests.append(hashlib.sha256(response.content.encode("utf-8")).hexdigest())
+        return parse_evolution_response(response.content)
+
+    try:
+        parsed = gateway.ask(next_request, parse, retries)
+    except BackendError as err:
+        raise RecordFailed(record.id, digests, f"backend failed: {err}") from err
+    except ParseError as err:
+        raise RecordFailed(record.id, digests, f"no usable reply after {retries + 1} attempts: {err}") from err
+    return EvolvedRecord(
+        id=f"{record.id}:round{round_index}",
+        instruction=parsed.final,
+        response=None,
+        meta={},
+        parent_id=record.id,
+        round=round_index,
+        budget=budget,
+        selected_tags=list(parsed.subset),
+        candidate_tags=list(candidates),
+        plan=parsed.plan,
+        flags=validate_result(parsed, budget, candidates, record.instruction),
+        raw_digest=digests[-1],
+    )
 
 
 def record_seed(master_seed: int, round_index: int, record_index: int) -> int:
@@ -415,19 +367,17 @@ def evolve_rounds(
 
         def evolve_one(indexed: tuple[int, InstructionRecord]):
             index, record = indexed
-            seed = record_seed(master_seed, round_index, index)
             try:
                 return evolve_record(
                     record,
                     budget,
                     pool,
                     gateway,
-                    random.Random(seed),
+                    random.Random(record_seed(master_seed, round_index, index)),
                     cand_size,
                     retries,
                     model=model,
                     round_index=round_index,
-                    rng_seed=seed,
                     temperature=temperature,
                     max_tokens=max_tokens,
                 )

@@ -18,11 +18,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import requests
 
-from .errors import TagEvolError
+from .errors import ParseError, TagEvolError
 
 log = logging.getLogger(__name__)
 
@@ -34,6 +34,8 @@ API_KEY_ENV = "TAGEVOL_API_KEY"
 DEFAULT_TEMPERATURE = 0.7
 DEFAULT_MAX_TOKENS = 2048
 RESPONSE_TEMPERATURE = 0.0
+
+T = TypeVar("T")
 
 
 class BackendError(TagEvolError):
@@ -268,13 +270,19 @@ class ResponseCache:
                 fh.write("\n")
 
 
+def _identity(response: ChatResponse) -> ChatResponse:
+    return response
+
+
 class Gateway:
     """Shared front door to a backend: retries, concurrency bound, cache.
 
-    ``complete`` retries transient failures up to ``retries`` times with
-    exponential backoff; non-transient failures surface immediately. The
-    in-flight bound is enforced internally, so the gateway is safe to share
-    across threads.
+    This is the one retry policy of the pipeline. ``complete`` retries
+    transient failures up to ``retries`` times with exponential backoff;
+    other backend failures surface immediately. ``ask`` retries only replies
+    that do not parse, and each such retry is a fresh send. The in-flight
+    bound is enforced internally, so the gateway is safe to share across
+    threads.
     """
 
     def __init__(
@@ -298,12 +306,20 @@ class Gateway:
         self._sleep = sleep
         self._slots = threading.Semaphore(max_in_flight)
 
-    def complete(self, request: ChatRequest) -> ChatResponse:
+    def complete(self, request: ChatRequest, parse: Callable[[ChatResponse], T] = _identity) -> T:
+        """Return ``parse`` of the reply to ``request``, from the cache or the backend.
+
+        A reply is cached only after ``parse`` accepts it. A cached reply that
+        ``parse`` rejects counts as a miss, so a rerun repairs a poisoned cache.
+        """
         key = request_cache_key(request)
         if self.cache is not None:
             hit = self.cache.get(key)
             if hit is not None:
-                return hit
+                try:
+                    return parse(hit)
+                except ParseError:
+                    pass
         last: TransientBackendError | None = None
         for attempt in range(self.retries + 1):
             if attempt:
@@ -315,31 +331,27 @@ class Gateway:
                 last = err
                 continue
             response = replace(response, retries_used=attempt)
+            parsed = parse(response)
             if self.cache is not None:
                 self.cache.put(key, response)
-            return response
+            return parsed
         assert last is not None
         raise ExhaustedRetries(last, attempts=self.retries + 1)
 
-    def complete_batch(
-        self, requests_: Sequence[ChatRequest], max_in_flight: int | None = None
-    ) -> list[ChatResponse | BackendError]:
-        """Run requests concurrently; results in input order, errors embedded per slot."""
-        if max_in_flight is not None and max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
-        bound = max_in_flight or self.max_in_flight
-        requests_ = list(requests_)
-        if not requests_:
-            return []
+    def ask(self, next_request: Callable[[], ChatRequest], parse: Callable[[ChatResponse], T], retries: int) -> T:
+        """Ask for at most ``retries + 1`` fresh replies until one parses.
 
-        def attempt(request: ChatRequest) -> ChatResponse | BackendError:
+        This is the one parse-retry loop of the pipeline. ``next_request`` is
+        called once per attempt. A :class:`BackendError` propagates at once,
+        because ``complete`` has already retried the transient ones; if no
+        reply parses, the last :class:`ParseError` propagates.
+        """
+        for _ in range(retries):
             try:
-                return self.complete(request)
-            except BackendError as err:
-                return err
-
-        with ThreadPoolExecutor(max_workers=min(bound, len(requests_))) as pool:
-            return list(pool.map(attempt, requests_))
+                return self.complete(next_request(), parse)
+            except ParseError:
+                continue
+        return self.complete(next_request(), parse)
 
     def map_in_order(self, fn: Callable, items: Sequence) -> list:
         """Apply ``fn`` to items concurrently under the gateway bound.

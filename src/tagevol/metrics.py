@@ -19,7 +19,7 @@ from .gateway import (
     user_message,
 )
 from .records import InstructionRecord
-from .tagging import RejectedTag, build_tagging_prompt, normalize_tag, parse_tagging_response
+from .tagging import build_tagging_prompt, normalized_tags, parse_tagging_response
 
 
 class EmptyInput(TagEvolError):
@@ -46,14 +46,7 @@ def diversity(tag_sets: Sequence[Iterable]) -> int:
     tag_sets = list(tag_sets)
     if not tag_sets:
         raise EmptyInput("no tag sets")
-    union: set[str] = set()
-    for tags in tag_sets:
-        for tag in tags:
-            try:
-                union.add(normalize_tag(tag))
-            except RejectedTag:
-                continue
-    return len(union)
+    return len({tag for tags in tag_sets for _, tag in normalized_tags(tags)})
 
 
 @dataclass(frozen=True)
@@ -114,26 +107,11 @@ def evaluate_dataset(
             temperature=temperature,
             max_tokens=max_tokens,
         )
-        last_error: Exception | None = None
-        for _ in range(retries + 1):
-            try:
-                response = gateway.complete(request)
-            except BackendError as err:
-                return record, None, str(err)
-            try:
-                parsed = parse_tagging_response(response.content)
-            except ParseError as err:
-                last_error = err
-                continue
-            tags: set[str] = set()
-            for aspect_tags in parsed.values():
-                for raw in aspect_tags:
-                    try:
-                        tags.add(normalize_tag(raw))
-                    except RejectedTag:
-                        continue
-            return record, tags, None
-        return record, None, str(last_error)
+        try:
+            parsed = gateway.ask(lambda: request, lambda r: parse_tagging_response(r.content), retries)
+        except (BackendError, ParseError) as err:
+            return record, None, str(err)
+        return record, {tag for tags in parsed.values() for _, tag in normalized_tags(tags)}, None
 
     results = gateway.map_in_order(tag_one, sample)
     tag_sets: list[set[str]] = []

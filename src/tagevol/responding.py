@@ -46,7 +46,10 @@ def generate_responses(
 
     Instruction text and provenance fields are never touched. Without
     ``overwrite`` the operation is idempotent: records with responses pass
-    through unchanged.
+    through unchanged. Any reply counts as a response, so ``retries`` (the
+    stage's parse-retry allowance) never adds a send: each prompt gets the
+    gateway's transient retries only, and any other backend failure, such as
+    a rejected credential, fails the record after one send.
     """
     records = list(records)
 
@@ -59,15 +62,11 @@ def generate_responses(
             temperature=temperature,
             max_tokens=max_tokens,
         )
-        last: BackendError | None = None
-        for _ in range(retries + 1):
-            try:
-                response = gateway.complete(request)
-            except BackendError as err:
-                last = err
-                continue
-            return replace(record, response=response.content), "filled", None
-        return record, "failed", str(last)
+        try:
+            content = gateway.ask(lambda: request, lambda reply: reply.content, retries)
+        except BackendError as err:
+            return record, "failed", str(err)
+        return replace(record, response=content), "filled", None
 
     results = gateway.map_in_order(respond_one, records)
     out: list[InstructionRecord] = []

@@ -16,7 +16,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError, TagEvolError
 from .gateway import (
@@ -24,6 +24,7 @@ from .gateway import (
     DEFAULT_TEMPERATURE,
     BackendError,
     ChatRequest,
+    ChatResponse,
     Gateway,
     user_message,
 )
@@ -182,6 +183,15 @@ def normalize_tag(raw: str) -> str:
     return text
 
 
+def normalized_tags(raw_tags: Iterable) -> Iterator[tuple[str, str]]:
+    """Yield ``(raw, normalized)`` for each tag that :func:`normalize_tag` accepts."""
+    for raw in raw_tags:
+        try:
+            yield raw, normalize_tag(raw)
+        except RejectedTag:
+            continue
+
+
 @dataclass
 class TagEntry:
     """One normalized tag under one normalized aspect, with bookkeeping."""
@@ -249,6 +259,10 @@ def _reply_preamble(text: str) -> str:
     return text[: markers[-1].start()].strip()
 
 
+def _parse_tagging_reply(response: ChatResponse) -> tuple[dict[str, list[str]], str]:
+    return parse_tagging_response(response.content), _reply_preamble(response.content)
+
+
 def build_tag_pool(
     records: Sequence[InstructionRecord],
     gateway: Gateway,
@@ -260,10 +274,13 @@ def build_tag_pool(
 ) -> tuple[TagPool, TagPoolBuildReport]:
     """Tag every record through the gateway and merge the results into a pool.
 
-    Unparseable replies are retried with the identical prompt up to
-    ``retries_per_record`` times; records that still fail are recorded in the
-    report, not fatal. Merging runs single-threaded over results in input
-    order, so the pool is deterministic for a deterministic backend.
+    An unparseable reply is retried with the identical prompt up to
+    ``retries_per_record`` times, and every retry is a fresh send; the gateway
+    caches only replies that parse. Backend failures are not retried here,
+    because the gateway has already retried the transient ones. Records that
+    still fail are recorded in the report, not fatal. Merging runs
+    single-threaded over results in input order, so the pool is deterministic
+    for a deterministic backend.
     """
     records = list(records)
     if not records:
@@ -277,20 +294,11 @@ def build_tag_pool(
             temperature=temperature,
             max_tokens=max_tokens,
         )
-        last_error: Exception | None = None
-        for _ in range(retries_per_record + 1):
-            try:
-                response = gateway.complete(request)
-            except BackendError as err:
-                # The gateway already retried transient failures; give up on this record.
-                return record, None, "", str(err)
-            try:
-                parsed = parse_tagging_response(response.content)
-            except ParseError as err:
-                last_error = err
-                continue
-            return record, parsed, _reply_preamble(response.content), None
-        return record, None, "", str(last_error)
+        try:
+            parsed, preamble = gateway.ask(lambda: request, _parse_tagging_reply, retries_per_record)
+        except (BackendError, ParseError) as err:
+            return record, None, "", str(err)
+        return record, parsed, preamble, None
 
     results = gateway.map_in_order(tag_one, records)
 
@@ -303,16 +311,8 @@ def build_tag_pool(
         report.tagged_records += 1
         if preamble:
             report.preambles[record.id] = preamble
-        for aspect_raw, tags in parsed.items():
-            try:
-                aspect = normalize_tag(aspect_raw)
-            except RejectedTag:
-                continue
-            for tag_raw in tags:
-                try:
-                    tag = normalize_tag(tag_raw)
-                except RejectedTag:
-                    continue
+        for aspect_raw, aspect in normalized_tags(parsed):
+            for tag_raw, tag in normalized_tags(parsed[aspect_raw]):
                 pool.add(aspect, tag, surface=tag_raw, source=record.id)
     if not pool.entries:
         raise BuildFailed(

@@ -27,7 +27,14 @@ from tagevol.evolution import (
     validate_result,
     word_count,
 )
-from tagevol.gateway import ChatResponse, Gateway, MockBackend, prompt_digest, user_message
+from tagevol.gateway import (
+    ChatResponse,
+    Gateway,
+    MockBackend,
+    TransientBackendError,
+    prompt_digest,
+    user_message,
+)
 from tagevol.records import (
     FLAG_FINAL_EQUALS_ORIGINAL,
     FLAG_SUBSET_NOT_IN_CANDIDATES,
@@ -196,18 +203,6 @@ def test_single_draws_are_uniform_over_the_pool():
     assert chi_square < 27.88
 
 
-def test_evolution_job_checks_its_preconditions():
-    from tagevol.evolution import EvolutionJob
-
-    record = make_records(1)[0]
-    job = EvolutionJob(record=record, budget=2, candidates=("a", "b", "c"), rng_seed=5)
-    assert job.rng_seed == 5
-    with pytest.raises(BadJob):
-        EvolutionJob(record=record, budget=4, candidates=("a", "b"))
-    with pytest.raises(BadJob):
-        EvolutionJob(record=record, budget=1, candidates=("a", "a"))
-
-
 def test_empty_pool_rejected():
     from tagevol.tagging import TagPool
 
@@ -264,6 +259,26 @@ def test_retry_arithmetic_on_persistent_garbage():
         evolve_record(record, 2, pool, gateway, random.Random(0), retries=2, model="mock")
     assert backend.sends == 3
     assert len(excinfo.value.attempt_digests) == 3
+
+
+class AlwaysUnavailable:
+    def __init__(self):
+        self.sends = 0
+
+    def send(self, request):
+        self.sends += 1
+        raise TransientBackendError("HTTP 503")
+
+
+def test_dead_endpoint_gets_the_gateway_retries_only():
+    record = make_records(1)[0]
+    pool = make_pool([f"notion {i}" for i in range(8)])
+    backend = AlwaysUnavailable()
+    gateway = Gateway(backend, retries=3, max_in_flight=1, sleep=lambda _: None)
+    with pytest.raises(RecordFailed) as excinfo:
+        evolve_record(record, 2, pool, gateway, random.Random(0), retries=3, model="mock")
+    assert backend.sends == 4
+    assert excinfo.value.attempt_digests == []
 
 
 def test_retry_resamples_a_fresh_candidate_batch():

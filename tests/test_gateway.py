@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from tagevol.errors import ParseError
 from tagevol.gateway import (
     AuthError,
     ChatMessage,
@@ -20,6 +21,7 @@ from tagevol.gateway import (
     TransientBackendError,
     UnscriptedPrompt,
     prompt_digest,
+    request_cache_key,
     user_message,
 )
 
@@ -136,20 +138,8 @@ def test_batch_results_match_input_order_under_random_latency():
         inner.register(prompt_digest(request.messages), f"reply {i}")
         requests.append(request)
     gateway = Gateway(LatencyBackend(inner, random.Random(7)), max_in_flight=5, sleep=lambda _: None)
-    results = gateway.complete_batch(requests)
+    results = gateway.map_in_order(gateway.complete, requests)
     assert [r.content for r in results] == [f"reply {i}" for i in range(12)]
-
-
-def test_batch_embeds_per_item_errors_without_aborting():
-    inner = MockBackend()
-    requests = [_request(f"q{i}") for i in range(5)]
-    for i, request in enumerate(requests):
-        if i != 2:
-            inner.register(prompt_digest(request.messages), f"a{i}")
-    gateway = Gateway(inner, sleep=lambda _: None)
-    results = gateway.complete_batch(requests)
-    assert isinstance(results[2], UnscriptedPrompt)
-    assert [r.content for i, r in enumerate(results) if i != 2] == ["a0", "a1", "a3", "a4"]
 
 
 def test_batch_serializes_with_bound_one():
@@ -160,7 +150,7 @@ def test_batch_serializes_with_bound_one():
         inner.register(prompt_digest(request.messages), f"s{i}")
         requests.append(request)
     gateway = Gateway(inner, max_in_flight=1, sleep=lambda _: None)
-    results = gateway.complete_batch(requests, max_in_flight=1)
+    results = gateway.map_in_order(gateway.complete, requests)
     assert [r.content for r in results] == [f"s{i}" for i in range(6)]
 
 
@@ -182,8 +172,8 @@ class ConcurrencyProbe:
 
 def test_in_flight_bound_is_enforced():
     probe = ConcurrencyProbe()
-    gateway = Gateway(probe, max_in_flight=10, sleep=lambda _: None)
-    gateway.complete_batch([_request(f"c{i}") for i in range(12)], max_in_flight=3)
+    gateway = Gateway(probe, max_in_flight=3, sleep=lambda _: None)
+    gateway.map_in_order(gateway.complete, [_request(f"c{i}") for i in range(12)])
     assert probe.peak <= 3
 
 
@@ -216,3 +206,36 @@ def test_cache_distinguishes_decoding_params(tmp_path):
     gateway.complete(_request("same text", temperature=0.7))
     gateway.complete(_request("same text", temperature=0.0))
     assert backend.sends == 2
+
+
+def _rejecting(bad_content):
+    def parse(response):
+        if response.content == bad_content:
+            raise ParseError("BadObject", bad_content)
+        return response.content
+
+    return parse
+
+
+def test_unparseable_reply_is_never_cached(tmp_path):
+    backend = CountingBackend()
+    cache = ResponseCache(tmp_path / "cache")
+    gateway = Gateway(backend, cache=cache, sleep=lambda _: None)
+    with pytest.raises(ParseError):
+        gateway.complete(_request("bad reply"), _rejecting("call 1"))
+    assert backend.sends == 1
+    assert len(cache) == 0
+    assert len(ResponseCache(tmp_path / "cache")) == 0
+
+
+def test_cached_bad_reply_is_resent_and_replaced(tmp_path):
+    request = _request("poisoned prompt")
+    key = request_cache_key(request)
+    ResponseCache(tmp_path / "cache").put(key, ChatResponse(content="garbage"))
+    backend = CountingBackend()
+    cache = ResponseCache(tmp_path / "cache")
+    gateway = Gateway(backend, cache=cache, sleep=lambda _: None)
+    assert gateway.complete(request, _rejecting("garbage")) == "call 1"
+    assert backend.sends == 1
+    assert cache.get(key).content == "call 1"
+    assert ResponseCache(tmp_path / "cache").get(key).content == "call 1"

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import make_records, tagging_reply
 from tagevol.errors import PreconditionError
-from tagevol.gateway import Gateway, MockBackend, prompt_digest, user_message
+from tagevol.gateway import ChatResponse, Gateway, MockBackend, ResponseCache, prompt_digest, user_message
 from tagevol.metrics import EmptyInput, MetricsFailed, difficulty, diversity, evaluate_dataset
 from tagevol.tagging import build_tagging_prompt
 
@@ -57,6 +57,18 @@ def test_metrics_are_permutation_invariant():
     shuffled = [sets[2], sets[0], sets[1]]
     assert difficulty(sets) == difficulty(shuffled)
     assert diversity(sets) == diversity(shuffled)
+
+
+class SequenceBackend:
+    """Pops one reply per send, regardless of prompt."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.sends = 0
+
+    def send(self, request):
+        self.sends += 1
+        return ChatResponse(content=self.replies.pop(0))
 
 
 def _tagging_gateway(records, tags_per_record):
@@ -113,6 +125,19 @@ def test_failed_samples_are_dropped_and_recorded():
     assert report.sample_size == 3
     assert len(report.dropped) == 1
     assert report.difficulty == 1.0
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["no_cache", "cache"])
+def test_parse_retry_gets_a_fresh_reply(cached, tmp_path):
+    records = make_records(1)
+    replies = ["garbage", tagging_reply({"Skill": ["loops", "recursion"]})]
+    backend = SequenceBackend(replies)
+    cache = ResponseCache(tmp_path / "cache") if cached else None
+    gateway = Gateway(backend, max_in_flight=1, cache=cache, sleep=lambda _: None)
+    report = evaluate_dataset(records, gateway, sample_size=1, retries=2, model="judge")
+    assert backend.sends == 2
+    assert report.per_sample_counts == [2]
+    assert report.dropped == []
 
 
 def test_all_samples_failing_raises():

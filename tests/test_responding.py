@@ -2,8 +2,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
+
 from helpers import make_records
-from tagevol.gateway import Gateway, MockBackend, prompt_digest, user_message
+from tagevol.gateway import AuthError, Gateway, MockBackend, TransientBackendError, prompt_digest, user_message
 from tagevol.records import EvolvedRecord
 from tagevol.responding import generate_responses
 
@@ -47,6 +49,31 @@ def test_failures_leave_response_null_and_are_reported():
     filled, report = generate_responses(records, gateway, retries=0, model="mock")
     assert [r.response for r in filled] == ["a", None, "c"]
     assert [f["record_id"] for f in report.failures] == [records[1].id]
+
+
+class FailingBackend:
+    def __init__(self, error):
+        self.error = error
+        self.sends = 0
+
+    def send(self, request):
+        self.sends += 1
+        raise self.error
+
+
+@pytest.mark.parametrize(
+    "error,sends",
+    [(TransientBackendError("HTTP 503"), 4), (AuthError("HTTP 401"), 1)],
+    ids=["503", "401"],
+)
+def test_backend_failures_get_the_gateway_retries_only(error, sends):
+    records = make_records(1)
+    backend = FailingBackend(error)
+    gateway = Gateway(backend, retries=3, max_in_flight=1, sleep=lambda _: None)
+    filled, report = generate_responses(records, gateway, retries=3, model="mock")
+    assert backend.sends == sends
+    assert filled[0].response is None
+    assert [f["record_id"] for f in report.failures] == [records[0].id]
 
 
 def test_provenance_fields_are_untouched():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import make_records, tagging_reply
 from tagevol.errors import ParseError
-from tagevol.gateway import ChatResponse, Gateway, MockBackend, prompt_digest, user_message
+from tagevol.gateway import ChatResponse, Gateway, MockBackend, ResponseCache, prompt_digest, user_message
 from tagevol.tagging import (
     BuildFailed,
     EmptyInstruction,
@@ -166,10 +166,12 @@ class ReplySequenceBackend:
         return ChatResponse(content=self.replies.pop(0))
 
 
-def test_parse_retries_reuse_identical_prompt():
+@pytest.mark.parametrize("cached", [False, True], ids=["no_cache", "cache"])
+def test_parse_retries_reuse_identical_prompt(cached, tmp_path):
     records = make_records(1)
     backend = ReplySequenceBackend(["not parseable", tagging_reply({"Skill": ["loops"]})])
-    gateway = Gateway(backend, max_in_flight=1, sleep=lambda _: None)
+    cache = ResponseCache(tmp_path / "cache") if cached else None
+    gateway = Gateway(backend, max_in_flight=1, cache=cache, sleep=lambda _: None)
     pool, report = build_tag_pool(records, gateway, retries_per_record=2, model="mock")
     assert backend.sends == 2
     assert pool.distinct_tag_count == 1

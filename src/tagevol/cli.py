@@ -16,8 +16,13 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import PreconditionError, TagEvolError
-from .evolution import PRESETS, evolve_rounds
+from .evolution import DEFAULT_CANDIDATE_SIZE, PRESETS, evolve_rounds
 from .gateway import (
+    DEFAULT_MAX_IN_FLIGHT,
+    DEFAULT_MAX_TOKENS,
+    DEFAULT_RETRIES,
+    DEFAULT_TEMPERATURE,
+    RESPONSE_TEMPERATURE,
     BackendError,
     Gateway,
     HttpBackend,
@@ -25,16 +30,18 @@ from .gateway import (
     ResponseCache,
 )
 from .leakage import count_matches
-from .metrics import EmptyInput, MetricsFailed, evaluate_dataset
+from .metrics import DEFAULT_SAMPLE_SIZE, EmptyInput, MetricsFailed, evaluate_dataset
 from .records import (
     DuplicateId,
     LoadError,
     WriteError,
     build_manifest,
+    json_text,
     load_dataset,
     manifest_path,
     merge_rounds,
     write_dataset,
+    write_json,
     write_manifest,
 )
 from .responding import generate_responses
@@ -47,45 +54,28 @@ EXIT_PRECONDITION = 4
 
 DEFAULT_CACHE_DIR = ".tagevol_cache"
 
-STAGES = ("tag", "evolve", "respond", "stats")
-
 
 @dataclass
 class RunConfig:
-    """Effective run configuration: config file values overridden by flags."""
+    """Effective run configuration: config file values overridden by flags.
+
+    Defaults mirror the library's; the library calls check every value.
+    """
 
     endpoint: str | None = None
     model: str | None = None
     models: dict = field(default_factory=dict)
     seed: int = 0
-    candidate_size: int = 30
+    candidate_size: int = DEFAULT_CANDIDATE_SIZE
     budgets: list[int] | None = None
-    max_in_flight: int = 4
-    retries: int = 3
-    temperature: float = 0.7
-    response_temperature: float = 0.0
-    max_tokens: int = 2048
-    top_p: float | None = None
+    max_in_flight: int = DEFAULT_MAX_IN_FLIGHT
+    retries: int = DEFAULT_RETRIES
+    temperature: float = DEFAULT_TEMPERATURE
+    response_temperature: float = RESPONSE_TEMPERATURE
+    max_tokens: int = DEFAULT_MAX_TOKENS
     cache_dir: str = DEFAULT_CACHE_DIR
     no_cache: bool = False
     mock_script: str | None = None
-
-    def validate(self) -> None:
-        if self.max_in_flight < 1:
-            raise PreconditionError("max_in_flight must be >= 1")
-        if self.retries < 0:
-            raise PreconditionError("retries must be >= 0")
-        if self.budgets is not None:
-            self.check_budgets(self.budgets)
-
-    def check_budgets(self, budgets: list[int]) -> None:
-        """Budgets must be positive and fit in one candidate batch."""
-        if not budgets or any(b < 1 for b in budgets):
-            raise PreconditionError("budgets must be a nonempty list of integers >= 1")
-        if self.candidate_size < max(budgets):
-            raise PreconditionError(
-                f"candidate_size {self.candidate_size} is smaller than the largest budget {max(budgets)}"
-            )
 
     def model_for(self, stage: str) -> str:
         override = self.models.get(stage)
@@ -126,9 +116,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             values[key] = flag_value
-    config = RunConfig(**values)
-    config.validate()
-    return config
+    return RunConfig(**values)
 
 
 def make_gateway(config: RunConfig) -> Gateway:
@@ -147,18 +135,10 @@ def make_gateway(config: RunConfig) -> Gateway:
     )
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
-
-
-def _write_json(payload, path) -> None:
-    Path(path).write_text(_json_text(payload), encoding="utf-8")
-
-
 def _emit(payload: dict, out: str | None = None) -> None:
     if out:
-        _write_json(payload, out)
-    print(_json_text(payload), end="")
+        write_json(payload, out)
+    print(json_text(payload), end="")
 
 
 def cmd_tag(args: argparse.Namespace, config: RunConfig) -> int:
@@ -175,7 +155,7 @@ def cmd_tag(args: argparse.Namespace, config: RunConfig) -> int:
     )
     pool.built_from = {"path": str(args.seed_dataset), "records": len(records)}
     save_pool(pool, args.out)
-    _write_json(report.to_json(), Path(args.out).with_suffix(".report.json"))
+    write_json(report.to_json(), Path(args.out).with_suffix(".report.json"))
     _emit(
         {
             "pool": str(args.out),
@@ -197,13 +177,8 @@ def cmd_evolve(args: argparse.Namespace, config: RunConfig) -> int:
         budgets = list(config.budgets)
     else:
         raise PreconditionError("no budgets configured; pass --budgets or --preset")
-    config.check_budgets(budgets)
     seeds = load_dataset(args.seed_dataset)
     pool = load_pool(args.pool)
-    if pool.distinct_tag_count < max(budgets):
-        raise PreconditionError(
-            f"pool has {pool.distinct_tag_count} distinct tags but the largest budget is {max(budgets)}"
-        )
     gateway = make_gateway(config)
     model = config.model_for("evolve")
     result = evolve_rounds(
@@ -241,7 +216,7 @@ def cmd_evolve(args: argparse.Namespace, config: RunConfig) -> int:
         )
         write_manifest(manifest, manifest_path(path))
         written.append({"path": str(path), "round": round_index, "budget": budget, "records": len(round_records)})
-    _write_json(result.failures, out_dir / "failures.json")
+    write_json(result.failures, out_dir / "failures.json")
     _emit({"rounds": written, "failures": len(result.failures)})
     if seeds and any(not round_records for round_records in result.rounds):
         _stderr_json("backend_error", "every record of at least one round failed")
@@ -263,7 +238,7 @@ def cmd_respond(args: argparse.Namespace, config: RunConfig) -> int:
         max_tokens=config.max_tokens,
     )
     write_dataset(filled, out_path)
-    _write_json(report.failures, out_path.with_suffix(".failures.json"))
+    write_json(report.failures, out_path.with_suffix(".failures.json"))
     _emit(
         {
             "dataset": str(out_path),
@@ -326,18 +301,19 @@ def cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    # Flags default to None ("not given"); the "(default N)" texts quote RunConfig.
+    d = RunConfig()
     parser.add_argument("--config", help="JSON config file; flags override its values")
     parser.add_argument("--endpoint", help="chat-completion endpoint URL")
     parser.add_argument("--model", help="model id sent to the backend")
-    parser.add_argument("--seed", type=int, help="master rng seed (default 0)")
-    parser.add_argument("--candidate-size", dest="candidate_size", type=int, help="candidate tag batch size (default 30)")
-    parser.add_argument("--max-in-flight", dest="max_in_flight", type=int, help="max concurrent backend requests (default 4)")
-    parser.add_argument("--retries", type=int, help="transient-failure retries per request, and fresh-reply retries per unparseable reply (default 3); 401/403 are never retried")
-    parser.add_argument("--temperature", type=float, help="sampling temperature for tagging/evolution (default 0.7)")
-    parser.add_argument("--response-temperature", dest="response_temperature", type=float, help="sampling temperature for responses (default 0.0)")
-    parser.add_argument("--max-tokens", dest="max_tokens", type=int, help="max output tokens (default 2048)")
-    parser.add_argument("--top-p", dest="top_p", type=float, help="nucleus sampling cutoff (off by default)")
-    parser.add_argument("--cache-dir", dest="cache_dir", help=f"response cache directory (default {DEFAULT_CACHE_DIR})")
+    parser.add_argument("--seed", type=int, help=f"master rng seed (default {d.seed})")
+    parser.add_argument("--candidate-size", dest="candidate_size", type=int, help=f"candidate tag batch size (default {d.candidate_size})")
+    parser.add_argument("--max-in-flight", dest="max_in_flight", type=int, help=f"max concurrent backend requests (default {d.max_in_flight})")
+    parser.add_argument("--retries", type=int, help=f"transient-failure retries per request, and fresh-reply retries per unparseable reply (default {d.retries}); 401/403 are never retried")
+    parser.add_argument("--temperature", type=float, help=f"sampling temperature for tagging/evolution (default {d.temperature})")
+    parser.add_argument("--response-temperature", dest="response_temperature", type=float, help=f"sampling temperature for responses (default {d.response_temperature})")
+    parser.add_argument("--max-tokens", dest="max_tokens", type=int, help=f"max output tokens (default {d.max_tokens})")
+    parser.add_argument("--cache-dir", dest="cache_dir", help=f"response cache directory (default {d.cache_dir})")
     parser.add_argument("--no-cache", dest="no_cache", action="store_true", default=None, help="disable the response cache")
     parser.add_argument("--mock-script", dest="mock_script", help="JSON mock script; replaces the HTTP backend")
 
@@ -383,14 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_leak = sub.add_parser("leakage", help="n-gram contamination report against benchmarks")
     p_leak.add_argument("dataset", help="synthesized JSONL file")
     p_leak.add_argument("benchmarks", nargs="+", help="benchmark JSONL files")
-    p_leak.add_argument("--ngrams", type=int, nargs="+", default=[8, 13], help="gram sizes (default: 8 13)")
+    p_leak.add_argument("--ngrams", type=int, nargs="+", default=[8, 13], help="gram sizes (default: %(default)s)")
     p_leak.add_argument("--out", help="also write the report to this path")
     _add_common_flags(p_leak)
     p_leak.set_defaults(func=cmd_leakage)
 
     p_stats = sub.add_parser("stats", help="difficulty/diversity report by re-tagging a sample")
     p_stats.add_argument("dataset", help="JSONL file to evaluate")
-    p_stats.add_argument("--sample-size", dest="sample_size", type=int, default=50, help="records to sample (default 50)")
+    p_stats.add_argument("--sample-size", dest="sample_size", type=int, default=DEFAULT_SAMPLE_SIZE, help="records to sample (default %(default)s)")
     p_stats.add_argument("--out", help="also write the report to this path")
     _add_common_flags(p_stats)
     p_stats.set_defaults(func=cmd_stats)

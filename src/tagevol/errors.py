@@ -19,5 +19,5 @@ class ParseError(TagEvolError):
         super().__init__(f"{reason}: {detail}" if detail else reason)
 
 
-class PreconditionError(TagEvolError):
+class PreconditionError(TagEvolError, ValueError):
     """An operation was invoked with inputs that violate its preconditions."""

@@ -23,6 +23,7 @@ from typing import Sequence
 from .errors import ParseError, PreconditionError, TagEvolError
 from .gateway import (
     DEFAULT_MAX_TOKENS,
+    DEFAULT_RETRIES,
     DEFAULT_TEMPERATURE,
     BackendError,
     ChatRequest,
@@ -260,7 +261,7 @@ def evolve_record(
     gateway: Gateway,
     rng: random.Random,
     cand_size: int = DEFAULT_CANDIDATE_SIZE,
-    retries: int = 2,
+    retries: int = DEFAULT_RETRIES,
     *,
     model: str,
     round_index: int = 1,
@@ -344,7 +345,7 @@ def evolve_rounds(
     gateway: Gateway,
     master_seed: int,
     cand_size: int = DEFAULT_CANDIDATE_SIZE,
-    retries: int = 2,
+    retries: int = DEFAULT_RETRIES,
     *,
     model: str,
     temperature: float = DEFAULT_TEMPERATURE,
@@ -357,10 +358,22 @@ def evolve_rounds(
     from the master seed and the (round, record) position, so outputs are
     bit-reproducible regardless of scheduling. Failed records are skipped and
     reported, never silently dropped.
+
+    This is the one check of the run's budgets: they must be a nonempty list
+    of integers >= 1, and both ``cand_size`` and the pool's distinct tag
+    count must reach the largest budget. A violation raises
+    :class:`PreconditionError` before any send.
     """
     budgets = list(budgets)
     if not budgets or any(b < 1 for b in budgets):
         raise PreconditionError("budgets must be a nonempty list of integers >= 1")
+    largest = max(budgets)
+    if cand_size < largest:
+        raise PreconditionError(f"candidate_size {cand_size} is smaller than the largest budget {largest}")
+    if pool.distinct_tag_count < largest:
+        raise PreconditionError(
+            f"pool has {pool.distinct_tag_count} distinct tags but the largest budget is {largest}"
+        )
     seed_records = list(seed_records)
     result = RoundsResult()
     for round_index, budget in enumerate(budgets, start=1):

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import requests
 
-from .errors import ParseError, TagEvolError
+from .errors import ParseError, PreconditionError, TagEvolError
 
 log = logging.getLogger(__name__)
 
@@ -34,6 +34,10 @@ API_KEY_ENV = "TAGEVOL_API_KEY"
 DEFAULT_TEMPERATURE = 0.7
 DEFAULT_MAX_TOKENS = 2048
 RESPONSE_TEMPERATURE = 0.0
+# Retries per request and per unparseable reply, and the concurrency bound.
+# The stages and the CLI read these, so library and CLI defaults agree.
+DEFAULT_RETRIES = 3
+DEFAULT_MAX_IN_FLIGHT = 4
 
 T = TypeVar("T")
 
@@ -95,9 +99,9 @@ class ChatRequest:
             if message.role not in ROLES:
                 raise ValueError(f"unknown message role {message.role!r}")
         if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+            raise PreconditionError("temperature must be >= 0")
         if self.max_tokens <= 0:
-            raise ValueError("max_tokens must be > 0")
+            raise PreconditionError("max_tokens must be > 0")
 
 
 @dataclass(frozen=True)
@@ -226,7 +230,7 @@ class ResponseCache:
 
     Entries are appended under a lock, so concurrent callers see atomic
     per-entry reads and writes. On load, the last line for a key wins and
-    torn trailing lines are ignored.
+    torn or malformed lines are ignored.
     """
 
     def __init__(self, directory: str | Path):
@@ -242,11 +246,11 @@ class ResponseCache:
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError:
+                    self._entries[obj["key"]] = ChatResponse(
+                        content=obj["content"], finish_reason=obj.get("finish_reason", "stop")
+                    )
+                except (ValueError, LookupError, TypeError):
                     continue
-                self._entries[obj["key"]] = ChatResponse(
-                    content=obj["content"], finish_reason=obj.get("finish_reason", "stop")
-                )
 
     def __len__(self) -> int:
         with self._lock:
@@ -283,21 +287,25 @@ class Gateway:
     that do not parse, and each such retry is a fresh send. The in-flight
     bound is enforced internally, so the gateway is safe to share across
     threads.
+
+    The constructor is the one check of ``retries >= 0`` and
+    ``max_in_flight >= 1``; it raises :class:`PreconditionError` before any
+    send.
     """
 
     def __init__(
         self,
         backend,
-        retries: int = 3,
+        retries: int = DEFAULT_RETRIES,
         backoff_base: float = 0.5,
-        max_in_flight: int = 4,
+        max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
         cache: ResponseCache | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         if retries < 0:
-            raise ValueError("retries must be >= 0")
+            raise PreconditionError("retries must be >= 0")
         if max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
+            raise PreconditionError("max_in_flight must be >= 1")
         self.backend = backend
         self.retries = retries
         self.backoff_base = backoff_base

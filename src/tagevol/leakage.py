@@ -8,16 +8,17 @@ Both counting modes are reported: matched benchmark items, and matched
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
+from .errors import PreconditionError
 from .records import InstructionRecord
 
 
 def extract_ngrams(text: str, n: int) -> set[str]:
     """Consecutive n-token windows; texts shorter than n yield the empty set."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise PreconditionError("n must be >= 1")
     words = text.lower().split()
     return {" ".join(words[i : i + n]) for i in range(len(words) - n + 1)}
 
@@ -32,14 +33,7 @@ class LeakageReport:
     samples: list[dict]
 
     def to_json(self) -> dict:
-        return {
-            "benchmark": self.benchmark,
-            "n": self.n,
-            "matched_benchmark_items": self.matched_benchmark_items,
-            "matched_pairs": self.matched_pairs,
-            "benchmark_size": self.benchmark_size,
-            "samples": self.samples,
-        }
+        return asdict(self)
 
 
 def count_matches(
@@ -55,7 +49,7 @@ def count_matches(
     up to ``max_samples`` example grams retained for inspection.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise PreconditionError("n must be >= 1")
     index: dict[str, set[int]] = {}
     for position, record in enumerate(synth_records):
         for gram in extract_ngrams(record.instruction, n):

@@ -10,16 +10,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ParseError, PreconditionError, TagEvolError
-from .gateway import (
-    DEFAULT_MAX_TOKENS,
-    DEFAULT_TEMPERATURE,
-    BackendError,
-    ChatRequest,
-    Gateway,
-    user_message,
-)
+from .gateway import DEFAULT_MAX_TOKENS, DEFAULT_RETRIES, DEFAULT_TEMPERATURE, BackendError, Gateway
 from .records import InstructionRecord
-from .tagging import build_tagging_prompt, normalized_tags, parse_tagging_response
+from .tagging import normalized_tags, tag_record
+
+DEFAULT_SAMPLE_SIZE = 50
 
 
 class EmptyInput(TagEvolError):
@@ -77,9 +72,9 @@ class MetricsReport:
 def evaluate_dataset(
     records: Sequence[InstructionRecord],
     gateway: Gateway,
-    sample_size: int = 50,
+    sample_size: int = DEFAULT_SAMPLE_SIZE,
     rng: random.Random | None = None,
-    retries: int = 2,
+    retries: int = DEFAULT_RETRIES,
     *,
     model: str,
     temperature: float = DEFAULT_TEMPERATURE,
@@ -100,15 +95,10 @@ def evaluate_dataset(
     sample = rng.sample(records, sample_size)
 
     def tag_one(record: InstructionRecord):
-        prompt = build_tagging_prompt(record)
-        request = ChatRequest(
-            model=model,
-            messages=(user_message(prompt),),
-            temperature=temperature,
-            max_tokens=max_tokens,
-        )
         try:
-            parsed = gateway.ask(lambda: request, lambda r: parse_tagging_response(r.content), retries)
+            parsed, _ = tag_record(
+                record, gateway, retries, model=model, temperature=temperature, max_tokens=max_tokens
+            )
         except (BackendError, ParseError) as err:
             return record, None, str(err)
         return record, {tag for tags in parsed.values() for _, tag in normalized_tags(tags)}, None

@@ -10,7 +10,7 @@ the same record list always produces byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -51,7 +51,7 @@ class DuplicateId(TagEvolError):
 
 
 class WriteError(TagEvolError):
-    """A dataset file could not be written."""
+    """A dataset or JSON artifact could not be written."""
 
 
 @dataclass(frozen=True)
@@ -247,13 +247,7 @@ class DatasetManifest:
     parameters: dict
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "sources": self.sources,
-            "record_count": self.record_count,
-            "rounds": self.rounds,
-            "parameters": self.parameters,
-        }
+        return asdict(self)
 
 
 def build_manifest(
@@ -293,10 +287,17 @@ def manifest_path(dataset_path: str | Path) -> Path:
 
 
 def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
+    write_json(manifest.to_json(), path)
+
+
+def json_text(payload) -> str:
+    """The one rendering of JSON artifacts and summaries: sorted keys, indented, UTF-8."""
+    return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(payload, path: str | Path) -> None:
+    """Write ``payload`` as :func:`json_text`; every JSON artifact goes through here."""
     try:
-        Path(path).write_text(
-            json.dumps(manifest.to_json(), ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        Path(path).write_text(json_text(payload), encoding="utf-8")
     except OSError as err:
         raise WriteError(f"cannot write {path}: {err}") from err

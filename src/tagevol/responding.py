@@ -13,6 +13,7 @@ from typing import Sequence
 
 from .gateway import (
     DEFAULT_MAX_TOKENS,
+    DEFAULT_RETRIES,
     RESPONSE_TEMPERATURE,
     BackendError,
     ChatRequest,
@@ -28,14 +29,11 @@ class ResponseReport:
     skipped: int = 0
     failures: list[dict] = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        return {"filled": self.filled, "skipped": self.skipped, "failures": self.failures}
-
 
 def generate_responses(
     records: Sequence[InstructionRecord],
     gateway: Gateway,
-    retries: int = 2,
+    retries: int = DEFAULT_RETRIES,
     *,
     model: str,
     overwrite: bool = False,

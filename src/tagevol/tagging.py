@@ -14,13 +14,14 @@ import json
 import logging
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError, TagEvolError
 from .gateway import (
     DEFAULT_MAX_TOKENS,
+    DEFAULT_RETRIES,
     DEFAULT_TEMPERATURE,
     BackendError,
     ChatRequest,
@@ -28,7 +29,7 @@ from .gateway import (
     Gateway,
     user_message,
 )
-from .records import InstructionRecord
+from .records import InstructionRecord, write_json
 
 log = logging.getLogger(__name__)
 
@@ -243,12 +244,7 @@ class TagPoolBuildReport:
     preambles: dict[str, str] = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "total_records": self.total_records,
-            "tagged_records": self.tagged_records,
-            "failures": self.failures,
-            "preambles": self.preambles,
-        }
+        return asdict(self)
 
 
 def _reply_preamble(text: str) -> str:
@@ -263,10 +259,35 @@ def _parse_tagging_reply(response: ChatResponse) -> tuple[dict[str, list[str]], 
     return parse_tagging_response(response.content), _reply_preamble(response.content)
 
 
+def tag_record(
+    record: InstructionRecord,
+    gateway: Gateway,
+    retries: int,
+    *,
+    model: str,
+    temperature: float,
+    max_tokens: int,
+) -> tuple[dict[str, list[str]], str]:
+    """Tag one record: its aspect-to-tags map and the step-1 reply preamble.
+
+    An unparseable reply is retried with the identical prompt up to
+    ``retries`` times, and every retry is a fresh send; the gateway caches
+    only replies that parse. Raises the gateway's :class:`BackendError`, or
+    the last :class:`ParseError` when no reply parses.
+    """
+    request = ChatRequest(
+        model=model,
+        messages=(user_message(build_tagging_prompt(record)),),
+        temperature=temperature,
+        max_tokens=max_tokens,
+    )
+    return gateway.ask(lambda: request, _parse_tagging_reply, retries)
+
+
 def build_tag_pool(
     records: Sequence[InstructionRecord],
     gateway: Gateway,
-    retries_per_record: int = 2,
+    retries_per_record: int = DEFAULT_RETRIES,
     *,
     model: str,
     temperature: float = DEFAULT_TEMPERATURE,
@@ -274,28 +295,22 @@ def build_tag_pool(
 ) -> tuple[TagPool, TagPoolBuildReport]:
     """Tag every record through the gateway and merge the results into a pool.
 
-    An unparseable reply is retried with the identical prompt up to
-    ``retries_per_record`` times, and every retry is a fresh send; the gateway
-    caches only replies that parse. Backend failures are not retried here,
-    because the gateway has already retried the transient ones. Records that
-    still fail are recorded in the report, not fatal. Merging runs
-    single-threaded over results in input order, so the pool is deterministic
-    for a deterministic backend.
+    Each record goes through :func:`tag_record` with ``retries_per_record``
+    parse retries. Backend failures are not retried here, because the
+    gateway has already retried the transient ones. Records that still fail
+    are recorded in the report, not fatal. Merging runs single-threaded over
+    results in input order, so the pool is deterministic for a deterministic
+    backend.
     """
     records = list(records)
     if not records:
         raise BuildFailed("no records to tag")
 
     def tag_one(record: InstructionRecord):
-        prompt = build_tagging_prompt(record)
-        request = ChatRequest(
-            model=model,
-            messages=(user_message(prompt),),
-            temperature=temperature,
-            max_tokens=max_tokens,
-        )
         try:
-            parsed, preamble = gateway.ask(lambda: request, _parse_tagging_reply, retries_per_record)
+            parsed, preamble = tag_record(
+                record, gateway, retries_per_record, model=model, temperature=temperature, max_tokens=max_tokens
+            )
         except (BackendError, ParseError) as err:
             return record, None, "", str(err)
         return record, parsed, preamble, None
@@ -339,9 +354,7 @@ def save_pool(pool: TagPool, path: str | Path) -> None:
         "built_from": pool.built_from,
         "entries": entries,
     }
-    Path(path).write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(payload, path)
 
 
 def load_pool(path: str | Path) -> TagPool:

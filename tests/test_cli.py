@@ -6,6 +6,7 @@ import pytest
 
 from helpers import build_pipeline_script, make_records, write_script
 from tagevol.cli import EXIT_BACKEND, EXIT_INPUT, EXIT_OK, EXIT_PRECONDITION, main
+from tagevol.gateway import MockBackend
 from tagevol.records import InstructionRecord, load_dataset, write_dataset
 
 
@@ -27,6 +28,20 @@ def _tag(seed_path, script_path, pool_path, extra=()):
     return main(
         ["tag", str(seed_path), "--out", str(pool_path), "--mock-script", str(script_path), "--no-cache", *extra]
     )
+
+
+@pytest.fixture
+def sends(monkeypatch):
+    """Every request the mock backend receives, in order."""
+    seen = []
+    original = MockBackend.send
+
+    def send(self, request):
+        seen.append(request)
+        return original(self, request)
+
+    monkeypatch.setattr(MockBackend, "send", send)
+    return seen
 
 
 def test_tag_builds_a_pool_file(tmp_path, capsys):
@@ -360,3 +375,65 @@ def test_drop_flagged_filters_records(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert load_dataset(out_dir / "round1_budget1.jsonl") == []
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--max-in-flight", "0"), ("--retries", "-1"), ("--max-tokens", "0"), ("--temperature", "-1")],
+)
+def test_bad_setting_on_tag_exits_4_before_any_send(flag, value, tmp_path, capsys, sends):
+    _, seed_path, script_path = _prepare(tmp_path)
+    pool_path = tmp_path / "pool.json"
+    assert _tag(seed_path, script_path, pool_path, extra=(flag, value)) == EXIT_PRECONDITION
+    assert json.loads(capsys.readouterr().err)["error"] == "precondition_error"
+    assert sends == []
+    assert not pool_path.exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [("--budgets", "2", "--candidate-size", "1"), ("--budgets", "1", "30")],
+    ids=["candidate_size", "pool_size"],
+)
+def test_evolve_precondition_exits_4_before_any_send(extra, tmp_path, capsys, sends):
+    _, seed_path, script_path = _prepare(tmp_path, budgets=(1,))
+    pool_path = tmp_path / "pool.json"
+    assert _tag(seed_path, script_path, pool_path) == EXIT_OK
+    sends.clear()
+    out_dir = tmp_path / "out"
+    code = main(
+        ["evolve", str(seed_path), str(pool_path), str(out_dir), "--mock-script", str(script_path), "--no-cache", *extra]
+    )
+    assert code == EXIT_PRECONDITION
+    assert sends == []
+    assert not out_dir.exists()
+
+
+def test_leakage_ngram_below_one_exits_4(tmp_path, capsys):
+    synth_path = tmp_path / "synth.jsonl"
+    write_dataset(make_records(1), synth_path)
+    assert main(["leakage", str(synth_path), str(synth_path), "--ngrams", "0"]) == EXIT_PRECONDITION
+
+
+def test_top_p_flag_is_gone(tmp_path, capsys):
+    _, seed_path, script_path = _prepare(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        _tag(seed_path, script_path, tmp_path / "pool.json", extra=("--top-p", "0.5"))
+    assert excinfo.value.code == EXIT_INPUT
+
+
+def test_top_p_config_key_is_unknown(tmp_path, capsys):
+    _, seed_path, script_path = _prepare(tmp_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"top_p": 0.5}), encoding="utf-8")
+    code = _tag(seed_path, script_path, tmp_path / "pool.json", extra=("--config", str(config_path)))
+    assert code == EXIT_INPUT
+    assert "top_p" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_tag_out_to_a_directory_exits_2(tmp_path, capsys):
+    _, seed_path, script_path = _prepare(tmp_path)
+    out_dir = tmp_path / "taken"
+    out_dir.mkdir()
+    assert _tag(seed_path, script_path, out_dir) == EXIT_INPUT
+    assert json.loads(capsys.readouterr().err)["error"] == "input_error"

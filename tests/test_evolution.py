@@ -13,7 +13,7 @@ from fixtures import (
     render_case_reply,
 )
 from helpers import SynthesizingBackend, evolution_reply, make_pool, make_records, valid_final
-from tagevol.errors import ParseError
+from tagevol.errors import ParseError, PreconditionError
 from tagevol.evolution import (
     PRESETS,
     BadJob,
@@ -355,3 +355,21 @@ def test_failed_records_are_skipped_and_reported():
     assert len(result.rounds[0]) == 2
     assert [f["record_id"] for f in result.failures] == [records[1].id]
     assert result.failures[0]["round"] == 1
+
+
+def test_evolve_rounds_rejects_a_candidate_size_below_the_largest_budget():
+    backend = SynthesizingBackend()
+    gateway = Gateway(backend, sleep=lambda _: None)
+    pool = make_pool([f"notion {i}" for i in range(8)])
+    with pytest.raises(PreconditionError, match="candidate_size"):
+        evolve_rounds(make_records(2), [1, 3], pool, gateway, 0, cand_size=2, model="mock")
+    assert backend.calls == 0
+
+
+def test_evolve_rounds_rejects_a_pool_smaller_than_the_largest_budget():
+    backend = SynthesizingBackend()
+    gateway = Gateway(backend, sleep=lambda _: None)
+    pool = make_pool(["notion a", "notion b", "notion c"])
+    with pytest.raises(PreconditionError, match="distinct tags"):
+        evolve_rounds(make_records(2), [1, 5], pool, gateway, 0, model="mock")
+    assert backend.calls == 0

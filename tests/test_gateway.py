@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from tagevol.errors import ParseError
+from tagevol.errors import ParseError, PreconditionError
 from tagevol.gateway import (
     AuthError,
     ChatMessage,
@@ -186,6 +186,13 @@ class CountingBackend:
         return ChatResponse(content=f"call {self.sends}")
 
 
+@pytest.mark.parametrize("setting", [{"retries": -1}, {"max_in_flight": 0}], ids=["retries", "max_in_flight"])
+def test_gateway_rejects_bad_settings_with_a_precondition_error(setting):
+    with pytest.raises(PreconditionError) as excinfo:
+        Gateway(CountingBackend(), **setting)
+    assert isinstance(excinfo.value, ValueError)
+
+
 def test_cache_serves_repeats_and_persists(tmp_path):
     backend = CountingBackend()
     cache = ResponseCache(tmp_path / "cache")
@@ -239,3 +246,14 @@ def test_cached_bad_reply_is_resent_and_replaced(tmp_path):
     assert backend.sends == 1
     assert cache.get(key).content == "call 1"
     assert ResponseCache(tmp_path / "cache").get(key).content == "call 1"
+
+
+@pytest.mark.parametrize("bad_line", ['{"content": "x"}', "[1, 2]"], ids=["no_key", "not_an_object"])
+def test_cache_load_skips_valid_json_lines_that_are_not_entries(bad_line, tmp_path):
+    key = request_cache_key(_request("kept prompt"))
+    good_line = json.dumps({"key": key, "content": "kept", "finish_reason": "stop"})
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "cache" / "responses.jsonl").write_text(f"{bad_line}\n{good_line}\n", encoding="utf-8")
+    cache = ResponseCache(tmp_path / "cache")
+    assert len(cache) == 1
+    assert cache.get(key).content == "kept"

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from helpers import as_records, leakage_oracle, random_texts
+from tagevol.errors import PreconditionError
 from tagevol.leakage import count_matches, extract_ngrams
 
 
@@ -23,6 +24,11 @@ def test_extraction_lowercases_and_splits_on_whitespace():
 def test_n_must_be_positive():
     with pytest.raises(ValueError):
         extract_ngrams("a b", 0)
+
+
+def test_count_matches_rejects_n_below_one_as_a_precondition():
+    with pytest.raises(PreconditionError):
+        count_matches([], [], 0)
 
 
 def test_eight_gram_overlap_detected_and_thirteen_gram_not():

@@ -11,11 +11,13 @@ from tagevol.records import (
     EvolvedRecord,
     InstructionRecord,
     LoadError,
+    WriteError,
     build_manifest,
     load_dataset,
     merge_rounds,
     record_to_json,
     write_dataset,
+    write_json,
 )
 
 
@@ -241,3 +243,14 @@ def test_evolved_record_coherence_enforced_unless_flagged():
         flags=["SubsetSizeMismatch"],
     )
     assert flagged.flags == ["SubsetSizeMismatch"]
+
+
+def test_write_json_renders_sorted_indented_utf8(tmp_path):
+    path = tmp_path / "report.json"
+    write_json({"b": "é", "a": [1]}, path)
+    assert path.read_bytes() == '{\n  "a": [\n    1\n  ],\n  "b": "é"\n}\n'.encode("utf-8")
+
+
+def test_write_json_wraps_os_errors(tmp_path):
+    with pytest.raises(WriteError):
+        write_json({"a": 1}, tmp_path)

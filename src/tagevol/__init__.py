@@ -6,7 +6,7 @@ generate responses, and audit the result with n-gram leakage and tag-based
 difficulty/diversity reports.
 """
 
-from .errors import ParseError, PreconditionError, TagEvolError
+from .errors import ParseError, PreconditionError, RecordError, TagEvolError
 from .evolution import (
     PRESETS,
     RecordFailed,
@@ -69,6 +69,7 @@ __all__ = [
     "ParseError",
     "PreconditionError",
     "PRESETS",
+    "RecordError",
     "RecordFailed",
     "ResponseCache",
     "RoundsResult",

@@ -12,6 +12,8 @@ import argparse
 import json
 import random
 import sys
+import types
+import typing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -92,6 +94,19 @@ class RunConfig:
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+_CONFIG_TYPES = typing.get_type_hints(RunConfig)
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a parsed JSON value fits a ``RunConfig`` annotation; an integer fits ``float``."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_has_type(value, arg) for arg in args)
+    if origin is list:
+        return isinstance(value, list) and all(_has_type(item, args[0]) for item in value)
+    if hint in (int, float) and isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -109,6 +124,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         unknown = set(loaded) - _CONFIG_KEYS
         if unknown:
             raise LoadError(path, 0, f"unknown config keys: {', '.join(sorted(unknown))}")
+        for key, value in sorted(loaded.items()):
+            hint = _CONFIG_TYPES[key]
+            if not _has_type(value, hint):
+                expected = hint.__name__ if isinstance(hint, type) else str(hint)
+                raise LoadError(path, 0, f"config key {key!r} must be {expected}, got {json.dumps(value)}")
         values.update(loaded)
     # Common flags share their config field's name; None means "not given".
     # --budgets is weighed against --preset in cmd_evolve instead.
@@ -247,6 +267,9 @@ def cmd_respond(args: argparse.Namespace, config: RunConfig) -> int:
             "failures": len(report.failures),
         }
     )
+    if report.failures and not report.filled:
+        _stderr_json("backend_error", "every record sent to the backend failed")
+        return EXIT_BACKEND
     return EXIT_OK
 
 

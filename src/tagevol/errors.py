@@ -7,7 +7,11 @@ class TagEvolError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ParseError(TagEvolError):
+class RecordError(TagEvolError):
+    """One record failed; its stage reports it and carries on (see ``Gateway.map_in_order``)."""
+
+
+class ParseError(RecordError):
     """A model reply does not follow the expected reply format.
 
     ``reason`` is a stable machine-readable code such as ``MissingMarker``,
@@ -21,3 +25,12 @@ class ParseError(TagEvolError):
 
 class PreconditionError(TagEvolError, ValueError):
     """An operation was invoked with inputs that violate its preconditions."""
+
+
+class LoadError(TagEvolError):
+    """An input file (dataset, config, mock script) could not be read or is malformed."""
+
+    def __init__(self, path, line: int, detail: str):
+        self.path = str(path)
+        self.line = line
+        super().__init__(f"{path}:{line}: {detail}")

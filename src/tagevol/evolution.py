@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import ParseError, PreconditionError, TagEvolError
+from .errors import ParseError, PreconditionError, RecordError, TagEvolError
 from .gateway import (
     DEFAULT_MAX_TOKENS,
     DEFAULT_RETRIES,
@@ -96,7 +96,7 @@ class EmptyPool(TagEvolError):
     """Candidate sampling was asked to draw from an empty tag pool."""
 
 
-class RecordFailed(TagEvolError):
+class RecordFailed(RecordError):
     """One record produced no usable evolution after all attempts."""
 
     def __init__(self, record_id: str, attempt_digests: list[str], detail: str):
@@ -353,11 +353,13 @@ def evolve_rounds(
 ) -> RoundsResult:
     """Run one round per budget, always evolving from the seed dataset.
 
-    Round ``i`` applies ``budgets[i-1]`` to every seed record. Records run
-    concurrently under the gateway bound; per-record rng streams are derived
-    from the master seed and the (round, record) position, so outputs are
-    bit-reproducible regardless of scheduling. Failed records are skipped and
-    reported, never silently dropped.
+    Round ``i`` applies ``budgets[i-1]`` to every seed record. Rounds share no
+    state, so all (round, record) jobs go through one ``gateway.map_in_order``
+    call in round-major order and no round waits for the previous one.
+    Per-record rng streams are derived from the master seed and the
+    (round, record) position, so outputs are bit-reproducible regardless of
+    scheduling. Failed records are skipped and reported in round-major seed
+    order, never silently dropped.
 
     This is the one check of the run's budgets: they must be a nonempty list
     of integers >= 1, and both ``cand_size`` and the pool's distinct tag
@@ -375,36 +377,32 @@ def evolve_rounds(
             f"pool has {pool.distinct_tag_count} distinct tags but the largest budget is {largest}"
         )
     seed_records = list(seed_records)
-    result = RoundsResult()
-    for round_index, budget in enumerate(budgets, start=1):
+    jobs = [
+        (round_index, budget, index, record)
+        for round_index, budget in enumerate(budgets, start=1)
+        for index, record in enumerate(seed_records)
+    ]
 
-        def evolve_one(indexed: tuple[int, InstructionRecord]):
-            index, record = indexed
-            try:
-                return evolve_record(
-                    record,
-                    budget,
-                    pool,
-                    gateway,
-                    random.Random(record_seed(master_seed, round_index, index)),
-                    cand_size,
-                    retries,
-                    model=model,
-                    round_index=round_index,
-                    temperature=temperature,
-                    max_tokens=max_tokens,
-                )
-            except RecordFailed as err:
-                return err
+    def evolve_job(job: tuple[int, int, int, InstructionRecord]) -> EvolvedRecord:
+        round_index, budget, index, record = job
+        return evolve_record(
+            record,
+            budget,
+            pool,
+            gateway,
+            random.Random(record_seed(master_seed, round_index, index)),
+            cand_size,
+            retries,
+            model=model,
+            round_index=round_index,
+            temperature=temperature,
+            max_tokens=max_tokens,
+        )
 
-        outcomes = gateway.map_in_order(evolve_one, list(enumerate(seed_records)))
-        round_records: list[EvolvedRecord] = []
-        for record, outcome in zip(seed_records, outcomes):
-            if isinstance(outcome, RecordFailed):
-                result.failures.append(
-                    {"round": round_index, "record_id": record.id, "error": str(outcome)}
-                )
-            else:
-                round_records.append(outcome)
-        result.rounds.append(round_records)
+    result = RoundsResult(rounds=[[] for _ in budgets])
+    for (round_index, _, _, record), outcome in zip(jobs, gateway.map_in_order(evolve_job, jobs)):
+        if isinstance(outcome, RecordError):
+            result.failures.append({"round": round_index, "record_id": record.id, "error": str(outcome)})
+        else:
+            result.rounds[round_index - 1].append(outcome)
     return result

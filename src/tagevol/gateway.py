@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import requests
 
-from .errors import ParseError, PreconditionError, TagEvolError
+from .errors import LoadError, ParseError, PreconditionError, RecordError
 
 log = logging.getLogger(__name__)
 
@@ -42,7 +42,7 @@ DEFAULT_MAX_IN_FLIGHT = 4
 T = TypeVar("T")
 
 
-class BackendError(TagEvolError):
+class BackendError(RecordError):
     """A single backend round-trip failed."""
 
 
@@ -151,10 +151,19 @@ class MockBackend:
 
     @classmethod
     def from_script_file(cls, path: str | Path) -> "MockBackend":
-        entries = json.loads(Path(path).read_text(encoding="utf-8"))
+        """Load a script file; one that cannot be read or is malformed raises :class:`LoadError`."""
+        try:
+            entries = json.loads(Path(path).read_text(encoding="utf-8"))
+            pairs = [(entry["prompt_sha256"], entry["response"]) for entry in entries]
+        except OSError as err:
+            raise LoadError(path, 0, f"cannot read mock script: {err}") from err
+        except (ValueError, LookupError, TypeError) as err:
+            raise LoadError(path, 0, f"not a JSON list of prompt_sha256/response objects: {err!r}") from err
         backend = cls()
-        for entry in entries:
-            backend.register(entry["prompt_sha256"], entry["response"])
+        for key, response in pairs:
+            if not (isinstance(key, str) and isinstance(response, str)):
+                raise LoadError(path, 0, "prompt_sha256 and response values must be strings")
+            backend.register(key, response)
         return backend
 
     def register(self, prompt_key: str, response: str) -> None:
@@ -364,14 +373,20 @@ class Gateway:
     def map_in_order(self, fn: Callable, items: Sequence) -> list:
         """Apply ``fn`` to items concurrently under the gateway bound.
 
-        Results come back in input order, so callers stay deterministic
-        regardless of completion order. ``fn`` must not raise; it should
-        return error values instead.
+        This is the one record-failure policy of the pipeline: a
+        :class:`RecordError` raised for an item is returned in that item's
+        place and the other items still run; any other exception propagates.
+        Results come back in input order, regardless of completion order.
         """
+
+        def run(item):
+            try:
+                return fn(item)
+            except RecordError as err:
+                return err
+
         items = list(items)
-        if not items:
-            return []
-        if self.max_in_flight == 1 or len(items) == 1:
-            return [fn(item) for item in items]
+        if self.max_in_flight == 1 or len(items) <= 1:
+            return [run(item) for item in items]
         with ThreadPoolExecutor(max_workers=min(self.max_in_flight, len(items))) as pool:
-            return list(pool.map(fn, items))
+            return list(pool.map(run, items))

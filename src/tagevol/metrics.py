@@ -9,8 +9,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ParseError, PreconditionError, TagEvolError
-from .gateway import DEFAULT_MAX_TOKENS, DEFAULT_RETRIES, DEFAULT_TEMPERATURE, BackendError, Gateway
+from .errors import PreconditionError, RecordError, TagEvolError
+from .gateway import DEFAULT_MAX_TOKENS, DEFAULT_RETRIES, DEFAULT_TEMPERATURE, Gateway
 from .records import InstructionRecord
 from .tagging import normalized_tags, tag_record
 
@@ -94,23 +94,20 @@ def evaluate_dataset(
     rng = rng if rng is not None else random.Random(0)
     sample = rng.sample(records, sample_size)
 
-    def tag_one(record: InstructionRecord):
-        try:
-            parsed, _ = tag_record(
-                record, gateway, retries, model=model, temperature=temperature, max_tokens=max_tokens
-            )
-        except (BackendError, ParseError) as err:
-            return record, None, str(err)
-        return record, {tag for tags in parsed.values() for _, tag in normalized_tags(tags)}, None
-
-    results = gateway.map_in_order(tag_one, sample)
+    outcomes = gateway.map_in_order(
+        lambda record: tag_record(
+            record, gateway, retries, model=model, temperature=temperature, max_tokens=max_tokens
+        ),
+        sample,
+    )
     tag_sets: list[set[str]] = []
     dropped: list[dict] = []
-    for record, tags, error in results:
-        if tags is None:
-            dropped.append({"record_id": record.id, "error": error})
+    for record, outcome in zip(sample, outcomes):
+        if isinstance(outcome, RecordError):
+            dropped.append({"record_id": record.id, "error": str(outcome)})
         else:
-            tag_sets.append(tags)
+            parsed, _ = outcome
+            tag_sets.append({tag for tags in parsed.values() for _, tag in normalized_tags(tags)})
     if not tag_sets:
         raise MetricsFailed("all sampled records failed tagging")
     return MetricsReport(

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .errors import TagEvolError
+from .errors import LoadError, TagEvolError
 
 # Validation-flag codes stored on evolved records.
 FLAG_SUBSET_SIZE_MISMATCH = "SubsetSizeMismatch"
@@ -29,15 +29,6 @@ VALIDATION_FLAGS = (
     FLAG_WORD_DELTA_OUT_OF_RANGE,
     FLAG_FINAL_EQUALS_ORIGINAL,
 )
-
-
-class LoadError(TagEvolError):
-    """A dataset file could not be read or a line is malformed."""
-
-    def __init__(self, path, line: int, detail: str):
-        self.path = str(path)
-        self.line = line
-        super().__init__(f"{path}:{line}: {detail}")
 
 
 class DuplicateId(TagEvolError):
@@ -105,6 +96,18 @@ class EvolvedRecord(InstructionRecord):
 _EVOLVED_MARKER_KEYS = ("parent_id", "round", "budget")
 
 
+def _converted(obj: dict, key: str, convert):
+    """``convert(obj.get(key))``; a value of the wrong JSON type is a ValueError naming ``key``."""
+    try:
+        return convert(obj.get(key))
+    except TypeError as err:
+        raise ValueError(f"{key!r} has the wrong type: {err}") from err
+
+
+def _list_or_empty(value) -> list:
+    return list(value or [])
+
+
 def record_from_json(obj: dict, *, default_id: str | None = None) -> InstructionRecord:
     """Build a record from one parsed JSONL object. Raises ValueError on schema problems."""
     instruction = obj.get("instruction")
@@ -135,12 +138,12 @@ def record_from_json(obj: dict, *, default_id: str | None = None) -> Instruction
             response=response,
             meta=meta,
             parent_id=str(obj["parent_id"]),
-            round=int(obj["round"]),
-            budget=int(obj["budget"]),
-            selected_tags=list(obj.get("selected_tags") or []),
-            candidate_tags=list(obj.get("candidate_tags") or []),
+            round=_converted(obj, "round", int),
+            budget=_converted(obj, "budget", int),
+            selected_tags=_converted(obj, "selected_tags", _list_or_empty),
+            candidate_tags=_converted(obj, "candidate_tags", _list_or_empty),
             plan=obj.get("plan") or "",
-            flags=list(obj.get("flags") or []),
+            flags=_converted(obj, "flags", _list_or_empty),
             raw_digest=obj.get("raw_digest") or "",
         )
     return InstructionRecord(id=record_id, instruction=instruction, response=response, meta=meta)

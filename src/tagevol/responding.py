@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
+from .errors import RecordError
 from .gateway import (
     DEFAULT_MAX_TOKENS,
     DEFAULT_RETRIES,
     RESPONSE_TEMPERATURE,
-    BackendError,
     ChatRequest,
     Gateway,
     user_message,
@@ -48,33 +48,28 @@ def generate_responses(
     stage's parse-retry allowance) never adds a send: each prompt gets the
     gateway's transient retries only, and any other backend failure, such as
     a rejected credential, fails the record after one send.
+    ``gateway.map_in_order`` reports such a failure in the record's place;
+    the record passes through unchanged and is listed in the report.
     """
     records = list(records)
 
-    def respond_one(record: InstructionRecord):
+    def respond(record: InstructionRecord) -> InstructionRecord:
         if record.response is not None and not overwrite:
-            return record, "skipped", None
+            return record
         request = ChatRequest(
-            model=model,
-            messages=(user_message(record.instruction),),
-            temperature=temperature,
-            max_tokens=max_tokens,
+            model=model, messages=(user_message(record.instruction),), temperature=temperature, max_tokens=max_tokens
         )
-        try:
-            content = gateway.ask(lambda: request, lambda reply: reply.content, retries)
-        except BackendError as err:
-            return record, "failed", str(err)
-        return replace(record, response=content), "filled", None
+        return replace(record, response=gateway.ask(lambda: request, lambda reply: reply.content, retries))
 
-    results = gateway.map_in_order(respond_one, records)
     out: list[InstructionRecord] = []
     report = ResponseReport()
-    for record, status, error in results:
-        out.append(record)
-        if status == "filled":
-            report.filled += 1
-        elif status == "skipped":
+    for record, outcome in zip(records, gateway.map_in_order(respond, records)):
+        if isinstance(outcome, RecordError):
+            report.failures.append({"record_id": record.id, "error": str(outcome)})
+            outcome = record
+        elif outcome is record:
             report.skipped += 1
         else:
-            report.failures.append({"record_id": record.id, "error": error})
+            report.filled += 1
+        out.append(outcome)
     return out, report

@@ -18,12 +18,11 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ParseError, TagEvolError
+from .errors import ParseError, RecordError, TagEvolError
 from .gateway import (
     DEFAULT_MAX_TOKENS,
     DEFAULT_RETRIES,
     DEFAULT_TEMPERATURE,
-    BackendError,
     ChatRequest,
     ChatResponse,
     Gateway,
@@ -295,34 +294,30 @@ def build_tag_pool(
 ) -> tuple[TagPool, TagPoolBuildReport]:
     """Tag every record through the gateway and merge the results into a pool.
 
-    Each record goes through :func:`tag_record` with ``retries_per_record``
-    parse retries. Backend failures are not retried here, because the
-    gateway has already retried the transient ones. Records that still fail
-    are recorded in the report, not fatal. Merging runs single-threaded over
-    results in input order, so the pool is deterministic for a deterministic
-    backend.
+    One ``gateway.map_in_order`` call runs :func:`tag_record` with
+    ``retries_per_record`` parse retries on every record; the gateway has
+    already retried transient backend failures. A record that still fails
+    (a :class:`RecordError`) is recorded in the report, not fatal. Merging
+    runs single-threaded over the outcomes in input order, so the pool is
+    deterministic for a deterministic backend.
     """
     records = list(records)
     if not records:
         raise BuildFailed("no records to tag")
-
-    def tag_one(record: InstructionRecord):
-        try:
-            parsed, preamble = tag_record(
-                record, gateway, retries_per_record, model=model, temperature=temperature, max_tokens=max_tokens
-            )
-        except (BackendError, ParseError) as err:
-            return record, None, "", str(err)
-        return record, parsed, preamble, None
-
-    results = gateway.map_in_order(tag_one, records)
+    outcomes = gateway.map_in_order(
+        lambda record: tag_record(
+            record, gateway, retries_per_record, model=model, temperature=temperature, max_tokens=max_tokens
+        ),
+        records,
+    )
 
     pool = TagPool(model=model)
     report = TagPoolBuildReport(total_records=len(records))
-    for record, parsed, preamble, error in results:
-        if parsed is None:
-            report.failures.append({"record_id": record.id, "error": error})
+    for record, outcome in zip(records, outcomes):
+        if isinstance(outcome, RecordError):
+            report.failures.append({"record_id": record.id, "error": str(outcome)})
             continue
+        parsed, preamble = outcome
         report.tagged_records += 1
         if preamble:
             report.preambles[record.id] = preamble

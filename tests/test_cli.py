@@ -437,3 +437,63 @@ def test_tag_out_to_a_directory_exits_2(tmp_path, capsys):
     out_dir.mkdir()
     assert _tag(seed_path, script_path, out_dir) == EXIT_INPUT
     assert json.loads(capsys.readouterr().err)["error"] == "input_error"
+
+
+def test_respond_exits_3_when_every_record_sent_fails(tmp_path, capsys):
+    dataset = tmp_path / "d.jsonl"
+    write_dataset(make_records(2), dataset)
+    script_path = tmp_path / "empty.json"
+    write_script(script_path, [])
+    out_path = tmp_path / "r.jsonl"
+    code = main(["respond", str(dataset), "--out", str(out_path), "--mock-script", str(script_path), "--no-cache"])
+    assert code == EXIT_BACKEND
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == "backend_error"
+    assert json.loads(captured.out)["failures"] == 2
+    assert load_dataset(out_path) == make_records(2)
+    assert len(json.loads((tmp_path / "r.failures.json").read_text(encoding="utf-8"))) == 2
+
+
+def test_respond_with_nothing_to_send_exits_0(tmp_path, capsys):
+    dataset = tmp_path / "d.jsonl"
+    write_dataset([InstructionRecord(id="a", instruction="say hi", response="hi")], dataset)
+    script_path = tmp_path / "empty.json"
+    write_script(script_path, [])
+    assert main(["respond", str(dataset), "--mock-script", str(script_path), "--no-cache"]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("retries", "3"), ("models", []), ("temperature", "hot"), ("budgets", [1, "2"]), ("no_cache", 1), ("seed", True)],
+)
+def test_config_value_of_the_wrong_json_type_exits_2(key, value, tmp_path, capsys):
+    _, seed_path, script_path = _prepare(tmp_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({key: value}), encoding="utf-8")
+    code = _tag(seed_path, script_path, tmp_path / "pool.json", extra=("--config", str(config_path)))
+    assert code == EXIT_INPUT
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "input_error"
+    assert repr(key) in error["message"]
+
+
+def test_config_accepts_an_integer_where_a_float_is_expected(tmp_path, capsys):
+    _, seed_path, script_path = _prepare(tmp_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"temperature": 1, "budgets": [1, 2], "models": {"tag": "m"}}), encoding="utf-8")
+    assert _tag(seed_path, script_path, tmp_path / "pool.json", extra=("--config", str(config_path))) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["not json", json.dumps([{"response": "r"}])],
+    ids=["not_json", "no_prompt_sha256"],
+)
+def test_malformed_mock_script_exits_2(content, tmp_path, capsys):
+    _, seed_path, _ = _prepare(tmp_path)
+    script_path = tmp_path / "bad-script.json"
+    script_path.write_text(content, encoding="utf-8")
+    assert _tag(seed_path, script_path, tmp_path / "pool.json") == EXIT_INPUT
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "input_error"
+    assert str(script_path) in error["message"]

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import logging
 import random
+import threading
+import time
 
 import pytest
 
@@ -28,6 +30,7 @@ from tagevol.evolution import (
     word_count,
 )
 from tagevol.gateway import (
+    AuthError,
     ChatResponse,
     Gateway,
     MockBackend,
@@ -355,6 +358,66 @@ def test_failed_records_are_skipped_and_reported():
     assert len(result.rounds[0]) == 2
     assert [f["record_id"] for f in result.failures] == [records[1].id]
     assert result.failures[0]["round"] == 1
+
+
+class HoldRoundOneTail:
+    """Holds round 1's prompt for one record until a round-2 prompt arrives (5 s at most)."""
+
+    def __init__(self, held_instruction: str):
+        self.inner = SynthesizingBackend()
+        self.held_instruction = held_instruction
+        self.round_two_started = threading.Event()
+        self.round_two_arrived_while_held = None
+
+    def send(self, request):
+        prompt = request.messages[-1].content
+        if "should contain 2 tags" in prompt:
+            self.round_two_started.set()
+        elif self.held_instruction in prompt:
+            self.round_two_arrived_while_held = self.round_two_started.wait(timeout=5)
+        return self.inner.send(request)
+
+
+def test_round_two_starts_while_round_one_still_runs():
+    records = make_records(3)
+    backend = HoldRoundOneTail(records[-1].instruction)
+    gateway = Gateway(backend, max_in_flight=2, sleep=lambda _: None)
+    pool = make_pool([f"notion {i}" for i in range(8)])
+    result = evolve_rounds(records, [1, 2], pool, gateway, master_seed=3, cand_size=4, model="mock")
+    assert backend.round_two_arrived_while_held is True
+    assert [len(r) for r in result.rounds] == [3, 3]
+
+
+def test_rounds_and_failures_keep_seed_order_under_two_slots():
+    records = make_records(6)
+    failing = {(1, 1), (1, 4), (2, 0), (2, 3)}
+
+    class FailSomeWithJitter:
+        def __init__(self):
+            self.inner = SynthesizingBackend()
+            self.rng = random.Random(5)
+            self.lock = threading.Lock()
+
+        def send(self, request):
+            prompt = request.messages[-1].content
+            with self.lock:
+                delay = self.rng.random() * 0.01
+            time.sleep(delay)
+            round_index = 1 if "should contain 1 tags" in prompt else 2
+            if any(round_index == r and records[i].instruction in prompt for r, i in failing):
+                raise AuthError("rejected")
+            return self.inner.send(request)
+
+    gateway = Gateway(FailSomeWithJitter(), max_in_flight=2, sleep=lambda _: None)
+    pool = make_pool([f"notion {i}" for i in range(8)])
+    result = evolve_rounds(records, [1, 2], pool, gateway, master_seed=9, cand_size=4, model="mock")
+    for round_index, round_records in enumerate(result.rounds, start=1):
+        kept = [r.id for i, r in enumerate(records) if (round_index, i) not in failing]
+        assert [r.parent_id for r in round_records] == kept
+    assert [(f["round"], f["record_id"]) for f in result.failures] == [
+        (r, records[i].id) for r, i in sorted(failing)
+    ]
+    assert all("backend failed" in f["error"] for f in result.failures)
 
 
 def test_evolve_rounds_rejects_a_candidate_size_below_the_largest_budget():

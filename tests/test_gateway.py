@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from tagevol.errors import ParseError, PreconditionError
+from tagevol.errors import LoadError, ParseError, PreconditionError, RecordError
 from tagevol.gateway import (
     AuthError,
     ChatMessage,
@@ -177,6 +177,39 @@ def test_in_flight_bound_is_enforced():
     assert probe.peak <= 3
 
 
+@pytest.mark.parametrize("max_in_flight", [1, 2])
+def test_map_in_order_returns_record_errors_in_their_item_place(max_in_flight):
+    ran = []
+
+    def fn(item):
+        ran.append(item)
+        if item % 3 == 1:
+            raise ParseError("Empty", f"item {item}")
+        if item % 3 == 2:
+            raise AuthError(f"item {item}")
+        return item * 10
+
+    gateway = Gateway(MockBackend(), max_in_flight=max_in_flight)
+    results = gateway.map_in_order(fn, range(7))
+    assert sorted(ran) == list(range(7))
+    assert [type(r) for r in results] == [int, ParseError, AuthError] * 2 + [int]
+    assert all(isinstance(r, RecordError) for r in results if not isinstance(r, int))
+    assert [r for r in results if isinstance(r, int)] == [0, 30, 60]
+    assert str(results[4]) == "Empty: item 4"
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 2])
+def test_map_in_order_propagates_errors_that_are_not_record_errors(max_in_flight):
+    def fn(item):
+        if item == 2:
+            raise PreconditionError("not a record failure")
+        return item
+
+    gateway = Gateway(MockBackend(), max_in_flight=max_in_flight)
+    with pytest.raises(PreconditionError, match="not a record failure"):
+        gateway.map_in_order(fn, range(5))
+
+
 class CountingBackend:
     def __init__(self):
         self.sends = 0
@@ -257,3 +290,17 @@ def test_cache_load_skips_valid_json_lines_that_are_not_entries(bad_line, tmp_pa
     cache = ResponseCache(tmp_path / "cache")
     assert len(cache) == 1
     assert cache.get(key).content == "kept"
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["not json", json.dumps({"prompt_sha256": "k", "response": "r"}), json.dumps([{"response": "r"}]),
+     json.dumps([{"prompt_sha256": "k", "response": 5}])],
+    ids=["not_json", "not_a_list", "no_key", "response_not_text"],
+)
+def test_malformed_mock_script_is_a_load_error(tmp_path, content):
+    path = tmp_path / "script.json"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(LoadError) as excinfo:
+        MockBackend.from_script_file(path)
+    assert excinfo.value.path == str(path)

@@ -54,6 +54,28 @@ def test_load_error_carries_line_number(tmp_path):
     assert excinfo.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("round", None), ("budget", [2]), ("selected_tags", 5), ("candidate_tags", 3.5), ("flags", True)],
+)
+def test_evolved_field_of_the_wrong_json_type_is_a_load_error(key, value, tmp_path):
+    evolved = {
+        "id": "e",
+        "instruction": "rewritten",
+        "parent_id": "p",
+        "round": 1,
+        "budget": 1,
+        "selected_tags": ["a"],
+        "candidate_tags": ["a", "b"],
+    }
+    path = tmp_path / "round.jsonl"
+    _write_lines(path, [json.dumps({"instruction": "seed"}), json.dumps({**evolved, key: value})])
+    with pytest.raises(LoadError) as excinfo:
+        load_dataset(path)
+    assert excinfo.value.line == 2
+    assert repr(key) in str(excinfo.value)
+
+
 def test_missing_id_defaults_to_filename_and_line(tmp_path):
     path = tmp_path / "seed.jsonl"
     _write_lines(path, [json.dumps({"instruction": "no id here"})])

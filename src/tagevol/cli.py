@@ -129,7 +129,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             if not _has_type(value, hint):
                 expected = hint.__name__ if isinstance(hint, type) else str(hint)
                 raise LoadError(path, 0, f"config key {key!r} must be {expected}, got {json.dumps(value)}")
-        values.update(loaded)
+            # An integer for a float field is stored as the float its flag would give,
+            # so the config and flag forms key the cache and the manifest alike.
+            values[key] = float(value) if hint is float else value
     # Common flags share their config field's name; None means "not given".
     # --budgets is weighed against --preset in cmd_evolve instead.
     for key in _CONFIG_KEYS - {"budgets"}:

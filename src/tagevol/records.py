@@ -96,20 +96,38 @@ class EvolvedRecord(InstructionRecord):
 _EVOLVED_MARKER_KEYS = ("parent_id", "round", "budget")
 
 
-def _converted(obj: dict, key: str, convert):
-    """``convert(obj.get(key))``; a value of the wrong JSON type is a ValueError naming ``key``."""
-    try:
-        return convert(obj.get(key))
-    except TypeError as err:
-        raise ValueError(f"{key!r} has the wrong type: {err}") from err
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _list_or_empty(value) -> list:
-    return list(value or [])
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
+def _checked(obj: dict, key: str, accepts, expected: str, default=None):
+    """``obj[key]`` when ``accepts`` it, or ``default`` (unless None) for an
+    absent or null key. Values are checked, never coerced: any other value is
+    a ValueError naming ``key``."""
+    value = obj.get(key)
+    if value is None and default is not None:
+        return default
+    if not accepts(value):
+        raise ValueError(f"{key!r} must be {expected}, got {json.dumps(value, ensure_ascii=False)}")
+    return value
 
 
 def record_from_json(obj: dict, *, default_id: str | None = None) -> InstructionRecord:
-    """Build a record from one parsed JSONL object. Raises ValueError on schema problems."""
+    """Build a record from one parsed JSONL object. Raises ValueError on schema problems.
+
+    Evolved fields are type-checked, never coerced: ``round`` and ``budget``
+    are integers (not booleans), ``parent_id`` is a string, the tag and flag
+    lists hold only strings, and ``plan`` and ``raw_digest`` are strings. The
+    lists, ``plan`` and ``raw_digest`` may be absent or null.
+    """
     instruction = obj.get("instruction")
     if not isinstance(instruction, str) or not instruction.strip():
         raise ValueError("missing or empty 'instruction' field")
@@ -137,14 +155,14 @@ def record_from_json(obj: dict, *, default_id: str | None = None) -> Instruction
             instruction=instruction,
             response=response,
             meta=meta,
-            parent_id=str(obj["parent_id"]),
-            round=_converted(obj, "round", int),
-            budget=_converted(obj, "budget", int),
-            selected_tags=_converted(obj, "selected_tags", _list_or_empty),
-            candidate_tags=_converted(obj, "candidate_tags", _list_or_empty),
-            plan=obj.get("plan") or "",
-            flags=_converted(obj, "flags", _list_or_empty),
-            raw_digest=obj.get("raw_digest") or "",
+            parent_id=_checked(obj, "parent_id", _is_str, "a string"),
+            round=_checked(obj, "round", _is_int, "an integer"),
+            budget=_checked(obj, "budget", _is_int, "an integer"),
+            selected_tags=_checked(obj, "selected_tags", _is_str_list, "a list of strings", []),
+            candidate_tags=_checked(obj, "candidate_tags", _is_str_list, "a list of strings", []),
+            plan=_checked(obj, "plan", _is_str, "a string", ""),
+            flags=_checked(obj, "flags", _is_str_list, "a list of strings", []),
+            raw_digest=_checked(obj, "raw_digest", _is_str, "a string", ""),
         )
     return InstructionRecord(id=record_id, instruction=instruction, response=response, meta=meta)
 

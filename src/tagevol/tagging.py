@@ -205,28 +205,42 @@ class TagEntry:
 
 @dataclass
 class TagPool:
-    """Merged tag collection keyed by (aspect, tag)."""
+    """Merged tag collection keyed by (aspect, tag).
+
+    :meth:`add` is the only mutator: pass every entry to the constructor or
+    add it, never write into ``entries`` directly. The sampling space
+    (:meth:`distinct_tags`) is computed once per pool and refreshed only when
+    ``add`` creates a new ``(aspect, tag)`` entry.
+    """
 
     entries: dict[tuple[str, str], TagEntry] = field(default_factory=dict)
     model: str = ""
     built_from: dict | None = None
+    _distinct_tags: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def add(self, aspect: str, tag: str, surface: str, source: str) -> None:
         entry = self.entries.get((aspect, tag))
         if entry is None:
             entry = TagEntry(tag=tag, aspect=aspect)
             self.entries[(aspect, tag)] = entry
+            self._distinct_tags = None
         entry.surface_forms.add(surface)
         entry.sources.add(source)
         entry.count += 1
 
-    def distinct_tags(self) -> list[str]:
-        """Distinct tag strings ignoring aspect, sorted; the sampling space."""
-        return sorted({tag for (_, tag) in self.entries})
+    def distinct_tags(self) -> tuple[str, ...]:
+        """Distinct tag strings ignoring aspect, sorted; the sampling space.
+
+        Built on first use and kept until :meth:`add` creates a new entry, so
+        every sample from an unchanged pool reuses the same tuple.
+        """
+        if self._distinct_tags is None:
+            self._distinct_tags = tuple(sorted({tag for (_, tag) in self.entries}))
+        return self._distinct_tags
 
     @property
     def distinct_tag_count(self) -> int:
-        return len({tag for (_, tag) in self.entries})
+        return len(self.distinct_tags())
 
     @property
     def entry_count(self) -> int:
@@ -362,7 +376,7 @@ def load_pool(path: str | Path) -> TagPool:
         raise PoolFormatError(f"{path}: expected a JSON object")
     if payload.get("version") != POOL_FORMAT_VERSION:
         raise PoolFormatError(f"{path}: unsupported pool version {payload.get('version')!r}")
-    pool = TagPool(model=payload.get("model", ""), built_from=payload.get("built_from"))
+    entries: dict[tuple[str, str], TagEntry] = {}
     try:
         for item in payload["entries"]:
             entry = TagEntry(
@@ -372,7 +386,7 @@ def load_pool(path: str | Path) -> TagPool:
                 sources=set(item["sources"]),
                 count=int(item["count"]),
             )
-            pool.entries[(entry.aspect, entry.tag)] = entry
+            entries[(entry.aspect, entry.tag)] = entry
     except (KeyError, TypeError, ValueError) as err:
         raise PoolFormatError(f"{path}: malformed pool entry: {err}") from err
-    return pool
+    return TagPool(entries=entries, model=payload.get("model", ""), built_from=payload.get("built_from"))

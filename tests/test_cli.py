@@ -6,7 +6,7 @@ import pytest
 
 from helpers import build_pipeline_script, make_records, write_script
 from tagevol.cli import EXIT_BACKEND, EXIT_INPUT, EXIT_OK, EXIT_PRECONDITION, main
-from tagevol.gateway import MockBackend
+from tagevol.gateway import MockBackend, request_cache_key
 from tagevol.records import InstructionRecord, load_dataset, write_dataset
 
 
@@ -482,6 +482,24 @@ def test_config_accepts_an_integer_where_a_float_is_expected(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"temperature": 1, "budgets": [1, 2], "models": {"tag": "m"}}), encoding="utf-8")
     assert _tag(seed_path, script_path, tmp_path / "pool.json", extra=("--config", str(config_path))) == EXIT_OK
+
+
+def test_integer_temperature_in_config_matches_the_flag(tmp_path, capsys, sends):
+    _, seed_path, script_path = _prepare(tmp_path, budgets=(1,))
+    pool_path = tmp_path / "pool.json"
+    assert _tag(seed_path, script_path, pool_path) == EXIT_OK
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"temperature": 1}), encoding="utf-8")
+    outcomes = []
+    for name, extra in [("config", ("--config", str(config_path))), ("flag", ("--temperature", "1"))]:
+        sends.clear()
+        out_dir = tmp_path / name
+        argv = ["evolve", str(seed_path), str(pool_path), str(out_dir), "--budgets", "1", "--seed", "0"]
+        assert main([*argv, "--mock-script", str(script_path), "--no-cache", *extra]) == EXIT_OK
+        manifest = json.loads((out_dir / "round1_budget1.manifest.json").read_text(encoding="utf-8"))
+        outcomes.append((repr(manifest["parameters"]["config"]["temperature"]), sorted(map(request_cache_key, sends))))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == "1.0"
 
 
 @pytest.mark.parametrize(

@@ -56,7 +56,27 @@ def test_load_error_carries_line_number(tmp_path):
 
 @pytest.mark.parametrize(
     "key,value",
-    [("round", None), ("budget", [2]), ("selected_tags", 5), ("candidate_tags", 3.5), ("flags", True)],
+    [
+        ("round", None),
+        ("budget", [2]),
+        ("selected_tags", 5),
+        ("candidate_tags", 3.5),
+        ("flags", True),
+        ("round", "2"),
+        ("round", True),
+        ("round", 2.0),
+        ("budget", True),
+        ("budget", "1"),
+        ("parent_id", 5),
+        ("parent_id", None),
+        ("selected_tags", "a"),
+        ("candidate_tags", "abc"),
+        ("candidate_tags", ["a", 2]),
+        ("flags", "SubsetSizeMismatch"),
+        ("plan", 5),
+        ("plan", ["integrate"]),
+        ("raw_digest", 0),
+    ],
 )
 def test_evolved_field_of_the_wrong_json_type_is_a_load_error(key, value, tmp_path):
     evolved = {
@@ -74,6 +94,20 @@ def test_evolved_field_of_the_wrong_json_type_is_a_load_error(key, value, tmp_pa
         load_dataset(path)
     assert excinfo.value.line == 2
     assert repr(key) in str(excinfo.value)
+
+
+def test_evolved_optional_fields_may_be_absent_or_null(tmp_path):
+    path = tmp_path / "round.jsonl"
+    base = {"instruction": "rewritten", "parent_id": "p", "round": 2, "budget": 1, "selected_tags": ["a"]}
+    _write_lines(
+        path,
+        [
+            json.dumps({**base, "id": "absent", "candidate_tags": ["a"]}),
+            json.dumps({**base, "id": "null", "candidate_tags": ["a"], "plan": None, "flags": None, "raw_digest": None}),
+        ],
+    )
+    for record in load_dataset(path):
+        assert (record.round, record.budget, record.plan, record.flags, record.raw_digest) == (2, 1, "", [], "")
 
 
 def test_missing_id_defaults_to_filename_and_line(tmp_path):

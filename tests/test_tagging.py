@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import make_records, tagging_reply
+from helpers import SynthesizingBackend, make_pool, make_records, tagging_reply
+from tagevol.evolution import evolve_rounds, sample_candidates
 from tagevol.errors import ParseError
 from tagevol.gateway import ChatResponse, Gateway, MockBackend, ResponseCache, prompt_digest, user_message
 from tagevol.tagging import (
@@ -14,6 +15,7 @@ from tagevol.tagging import (
     EmptyInstruction,
     PoolFormatError,
     RejectedTag,
+    TagEntry,
     TagPool,
     build_tag_pool,
     build_tagging_prompt,
@@ -256,3 +258,62 @@ def test_empty_pool_file_loads_with_zero_entries(tmp_path):
     path = tmp_path / "pool.json"
     save_pool(TagPool(model="m"), path)
     assert load_pool(path).entry_count == 0
+
+
+class CountingEntries(dict):
+    """A pool's entries dict that counts full scans of its keys."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def test_evolve_rounds_scans_the_pool_once():
+    entries = CountingEntries()
+    for i in range(12):
+        entries[("skill", f"notion {i}")] = TagEntry(tag=f"notion {i}", aspect="skill", count=1)
+    pool = TagPool(entries=entries, model="fixture")
+    gateway = Gateway(SynthesizingBackend(), sleep=lambda _: None)
+    result = evolve_rounds(make_records(20), [1, 2, 3], pool, gateway, master_seed=5, cand_size=6, model="mock")
+    assert [len(r) for r in result.rounds] == [20, 20, 20]
+    assert entries.scans == 1
+
+
+def test_sampling_space_is_one_cached_tuple():
+    pool = make_pool(["beta", "alpha", "gamma"])
+    space = pool.distinct_tags()
+    assert isinstance(space, tuple)
+    assert space == ("alpha", "beta", "gamma")
+    assert pool.distinct_tags() is space
+
+
+def test_add_of_a_new_tag_refreshes_the_sampling_space():
+    pool = make_pool(["alpha", "beta"])
+    sample_candidates(pool, 2, random.Random(0))
+    pool.add("topic", "delta", surface="Delta", source="s")
+    assert pool.distinct_tags() == ("alpha", "beta", "delta")
+    assert pool.distinct_tag_count == 3
+    assert sorted(sample_candidates(pool, 3, random.Random(0))) == ["alpha", "beta", "delta"]
+
+
+def test_add_of_an_existing_entry_keeps_the_sampling_space():
+    pool = make_pool(["alpha", "beta"])
+    space = pool.distinct_tags()
+    pool.add("required skill", "alpha", surface="ALPHA", source="t")
+    assert pool.distinct_tags() is space
+    assert pool.entries[("required skill", "alpha")].count == 2
+
+
+def test_a_loaded_pool_samples_what_the_saved_pool_samples(tmp_path):
+    pool = TagPool(model="mock")
+    for i in range(40):
+        pool.add(["skill", "topic"][i % 2], f"tag {i:02d}", surface=f"Tag {i}", source=f"s{i}")
+    pool.add("skill", "tag 03", surface="tag 3", source="s99")
+    path = tmp_path / "pool.json"
+    save_pool(pool, path)
+    loaded = load_pool(path)
+    assert loaded.distinct_tags() == pool.distinct_tags() == tuple(f"tag {i:02d}" for i in range(40))
+    for seed in range(5):
+        assert sample_candidates(loaded, 7, random.Random(seed)) == sample_candidates(pool, 7, random.Random(seed))

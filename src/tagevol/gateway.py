@@ -10,17 +10,20 @@ downstream stage deterministic and testable without a live model.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
+import math
 import os
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
-
-import requests
 
 from .errors import LoadError, ParseError, PreconditionError, RecordError
 
@@ -98,8 +101,8 @@ class ChatRequest:
         for message in self.messages:
             if message.role not in ROLES:
                 raise ValueError(f"unknown message role {message.role!r}")
-        if self.temperature < 0:
-            raise PreconditionError("temperature must be >= 0")
+        if not math.isfinite(self.temperature) or self.temperature < 0:
+            raise PreconditionError("temperature must be a finite number >= 0")
         if self.max_tokens <= 0:
             raise PreconditionError("max_tokens must be > 0")
 
@@ -182,15 +185,35 @@ class MockBackend:
 
 
 class HttpBackend:
-    """POSTs chat-completion requests to an HTTP endpoint.
+    """POSTs chat-completion requests to an HTTP endpoint with the standard library.
 
     Body: {"model", "messages": [{"role", "content"}], "temperature",
-    "max_tokens"} (plus "top_p" when set). The completion is read from the
-    first choice's message content. The credential comes from the
+    "max_tokens"} (plus "top_p" when set), as ASCII-escaped JSON. The
+    completion is read from the first choice's message content; a
+    ``usage`` that is not an object or a ``finish_reason`` that is not text
+    is a :class:`MalformedBackendReply`. The credential comes from the
     TAGEVOL_API_KEY environment variable unless passed explicitly.
+
+    Status mapping: 401/403 raise :class:`AuthError`; 429 and 5xx raise
+    :class:`TransientBackendError`; any other status outside 200-299 raises
+    :class:`BackendError`. Every transport failure (refused or reset
+    connection, timeout, truncated reply) is transient. Proxies come from the
+    ``*_proxy`` environment variables, HTTPS certificates are checked against
+    the system CA store, and 301/302/303 redirects are followed; a 307/308
+    reply to the POST is not, so it is a :class:`BackendError`.
+
+    The constructor raises :class:`PreconditionError` unless ``endpoint`` is
+    an http or https URL with a host.
     """
 
     def __init__(self, endpoint: str, api_key: str | None = None, timeout: float = 120.0):
+        try:
+            parts = urllib.parse.urlsplit(endpoint)
+            parts.port  # raises ValueError for a port that is not a number in range
+        except ValueError as err:
+            raise PreconditionError(f"endpoint {endpoint!r} is not a valid URL: {err}") from err
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise PreconditionError(f"endpoint {endpoint!r} must be an http:// or https:// URL with a host")
         self.endpoint = endpoint
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self.timeout = timeout
@@ -207,28 +230,38 @@ class HttpBackend:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        post = urllib.request.Request(self.endpoint, data=json.dumps(body).encode("ascii"), headers=headers)
         try:
-            resp = requests.post(self.endpoint, json=body, headers=headers, timeout=self.timeout)
-        except (requests.Timeout, requests.ConnectionError) as err:
+            try:
+                reply = urllib.request.urlopen(post, timeout=self.timeout)
+            except urllib.error.HTTPError as err:
+                reply = err  # a status outside 200-299; read like any reply
+            with reply:
+                status, raw = reply.status, reply.read()
+        except (OSError, http.client.HTTPException) as err:
             raise TransientBackendError(str(err)) from err
-        if resp.status_code in (401, 403):
-            raise AuthError(f"HTTP {resp.status_code} from backend")
-        if resp.status_code == 429 or resp.status_code >= 500:
-            raise TransientBackendError(f"HTTP {resp.status_code} from backend")
-        if resp.status_code >= 400:
-            raise BackendError(f"HTTP {resp.status_code} from backend: {resp.text[:200]}")
+        if status in (401, 403):
+            raise AuthError(f"HTTP {status} from backend")
+        if status == 429 or status >= 500:
+            raise TransientBackendError(f"HTTP {status} from backend")
+        if not 200 <= status < 300:
+            raise BackendError(f"HTTP {status} from backend: {raw.decode('utf-8', 'replace')[:200]}")
         try:
-            payload = resp.json()
+            payload = json.loads(raw)
             choice = payload["choices"][0]
             content = choice["message"]["content"]
         except (ValueError, LookupError, TypeError) as err:
             raise MalformedBackendReply(f"cannot read completion from reply: {err}") from err
         if not isinstance(content, str):
             raise MalformedBackendReply("completion content is not text")
-        usage = payload.get("usage") or {}
+        usage = payload.get("usage")
+        finish_reason = choice.get("finish_reason")
+        if not isinstance(usage, (dict, type(None))) or not isinstance(finish_reason, (str, type(None))):
+            raise MalformedBackendReply("reply usage is not an object or finish_reason is not text")
+        usage = usage or {}
         return ChatResponse(
             content=content,
-            finish_reason=choice.get("finish_reason") or "stop",
+            finish_reason=finish_reason or "stop",
             prompt_tokens=usage.get("prompt_tokens"),
             completion_tokens=usage.get("completion_tokens"),
         )
@@ -239,27 +272,34 @@ class ResponseCache:
 
     Entries are appended under a lock, so concurrent callers see atomic
     per-entry reads and writes. On load, the last line for a key wins and
-    torn or malformed lines are ignored.
+    torn or malformed lines are ignored, as is an entry whose ``key``,
+    ``content`` or ``finish_reason`` is not a string. A directory that
+    cannot be created or read raises :class:`LoadError`.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         self.path = self.directory / "responses.jsonl"
         self._lock = threading.Lock()
         self._entries: dict[str, ChatResponse] = {}
-        if self.path.exists():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                    self._entries[obj["key"]] = ChatResponse(
-                        content=obj["content"], finish_reason=obj.get("finish_reason", "stop")
-                    )
-                except (ValueError, LookupError, TypeError):
-                    continue
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            # Bytes, not text: a torn last line may end inside a UTF-8
+            # character, and json.loads then rejects just that line.
+            lines = self.path.read_bytes().splitlines() if self.path.exists() else []
+        except OSError as err:
+            raise LoadError(self.directory, 0, f"cannot use as a response cache directory: {err}") from err
+        for line in lines:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+                key, content, finish_reason = obj["key"], obj["content"], obj.get("finish_reason", "stop")
+            except (ValueError, LookupError, TypeError):
+                continue
+            if isinstance(key, str) and isinstance(content, str) and isinstance(finish_reason, str):
+                self._entries[key] = ChatResponse(content=content, finish_reason=finish_reason)
 
     def __len__(self) -> int:
         with self._lock:

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import build_pipeline_script, make_records, write_script
 from tagevol.cli import EXIT_BACKEND, EXIT_INPUT, EXIT_OK, EXIT_PRECONDITION, main
-from tagevol.gateway import MockBackend, request_cache_key
+from tagevol.gateway import HttpBackend, MockBackend, request_cache_key
 from tagevol.records import InstructionRecord, load_dataset, write_dataset
 
 
@@ -379,7 +379,14 @@ def test_drop_flagged_filters_records(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flag,value",
-    [("--max-in-flight", "0"), ("--retries", "-1"), ("--max-tokens", "0"), ("--temperature", "-1")],
+    [
+        ("--max-in-flight", "0"),
+        ("--retries", "-1"),
+        ("--max-tokens", "0"),
+        ("--temperature", "-1"),
+        ("--temperature", "nan"),
+        ("--temperature", "inf"),
+    ],
 )
 def test_bad_setting_on_tag_exits_4_before_any_send(flag, value, tmp_path, capsys, sends):
     _, seed_path, script_path = _prepare(tmp_path)
@@ -515,3 +522,31 @@ def test_malformed_mock_script_exits_2(content, tmp_path, capsys):
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "input_error"
     assert str(script_path) in error["message"]
+
+
+@pytest.mark.parametrize("endpoint", ["foo", "ftp://host/v1", "http://", "http://host:port/v1"])
+def test_endpoint_that_is_not_an_http_url_exits_4_before_any_send(endpoint, tmp_path, capsys, monkeypatch):
+    http_sends = []
+    monkeypatch.setattr(HttpBackend, "send", lambda self, request: http_sends.append(request))
+    _, seed_path, _ = _prepare(tmp_path)
+    pool_path = tmp_path / "pool.json"
+    code = main(["tag", str(seed_path), "--out", str(pool_path), "--endpoint", endpoint, "--model", "m", "--no-cache"])
+    assert code == EXIT_PRECONDITION
+    assert json.loads(capsys.readouterr().err)["error"] == "precondition_error"
+    assert http_sends == []
+    assert not pool_path.exists()
+
+
+def test_cache_dir_naming_a_file_exits_2_before_any_send(tmp_path, capsys, sends):
+    _, seed_path, script_path = _prepare(tmp_path)
+    not_a_dir = tmp_path / "cache.txt"
+    not_a_dir.write_text("occupied", encoding="utf-8")
+    pool_path = tmp_path / "pool.json"
+    code = main(
+        ["tag", str(seed_path), "--out", str(pool_path), "--mock-script", str(script_path), "--cache-dir", str(not_a_dir)]
+    )
+    assert code == EXIT_INPUT
+    assert json.loads(capsys.readouterr().err)["error"] == "input_error"
+    assert sends == []
+    assert not pool_path.exists()
+    assert not_a_dir.read_text(encoding="utf-8") == "occupied"

@@ -281,7 +281,17 @@ def test_cached_bad_reply_is_resent_and_replaced(tmp_path):
     assert ResponseCache(tmp_path / "cache").get(key).content == "call 1"
 
 
-@pytest.mark.parametrize("bad_line", ['{"content": "x"}', "[1, 2]"], ids=["no_key", "not_an_object"])
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        '{"content": "x"}',
+        "[1, 2]",
+        '{"key": "k", "content": 5}',
+        '{"key": "k", "content": "x", "finish_reason": 7}',
+        '{"key": 5, "content": "x"}',
+    ],
+    ids=["no_key", "not_an_object", "content_not_text", "finish_reason_not_text", "key_not_text"],
+)
 def test_cache_load_skips_valid_json_lines_that_are_not_entries(bad_line, tmp_path):
     key = request_cache_key(_request("kept prompt"))
     good_line = json.dumps({"key": key, "content": "kept", "finish_reason": "stop"})
@@ -290,6 +300,17 @@ def test_cache_load_skips_valid_json_lines_that_are_not_entries(bad_line, tmp_pa
     cache = ResponseCache(tmp_path / "cache")
     assert len(cache) == 1
     assert cache.get(key).content == "kept"
+
+
+def test_cache_load_skips_a_last_line_torn_inside_a_utf8_character(tmp_path):
+    key = request_cache_key(_request("kept prompt"))
+    good_line = json.dumps({"key": key, "content": "kept ✓", "finish_reason": "stop"}, ensure_ascii=False)
+    torn_line = json.dumps({"key": "other", "content": "torn ✓"}, ensure_ascii=False).encode("utf-8")[:-4]
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "cache" / "responses.jsonl").write_bytes(good_line.encode("utf-8") + b"\n" + torn_line)
+    cache = ResponseCache(tmp_path / "cache")
+    assert len(cache) == 1
+    assert cache.get(key).content == "kept ✓"
 
 
 @pytest.mark.parametrize(

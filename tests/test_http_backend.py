@@ -1,17 +1,26 @@
 from __future__ import annotations
 
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
+import time
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from tagevol.gateway import (
     AuthError,
+    BackendError,
     ChatRequest,
+    ExhaustedRetries,
     Gateway,
     HttpBackend,
     MalformedBackendReply,
+    TransientBackendError,
     user_message,
 )
 
@@ -59,6 +68,7 @@ def server():
     ScriptedHandler.seen_headers = []
     yield f"http://127.0.0.1:{httpd.server_address[1]}/v1/chat/completions"
     httpd.shutdown()
+    httpd.server_close()
 
 
 def _request():
@@ -100,3 +110,177 @@ def test_unusable_body_is_malformed_reply(server):
     ScriptedHandler.script = [(200, {"choices": []})]
     with pytest.raises(MalformedBackendReply):
         HttpBackend(server).send(_request())
+
+
+class RawHandler(BaseHTTPRequestHandler):
+    """Answers every POST with ``reply`` bytes after ``delay`` seconds; records raw request bodies."""
+
+    reply: bytes = b""
+    delay: float = 0.0
+    seen: list[bytes] = []
+
+    def do_POST(self):
+        type(self).seen.append(self.rfile.read(int(self.headers.get("Content-Length", "0"))))
+        time.sleep(self.delay)
+        try:
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(self.reply)))
+            self.end_headers()
+            self.wfile.write(self.reply)
+        except OSError:
+            pass  # the client gave up waiting
+
+    def log_message(self, *args):
+        pass
+
+
+@contextmanager
+def _serving(handler):
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{httpd.server_address[1]}/v1/chat/completions"
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+
+
+def _raw_server(reply: bytes, delay: float = 0.0):
+    RawHandler.reply, RawHandler.delay, RawHandler.seen = reply, delay, []
+    return _serving(RawHandler)
+
+
+def _gateway(url, retries=3):
+    return Gateway(HttpBackend(url), retries=retries, sleep=lambda _: None)
+
+
+def test_forbidden_is_sent_once(server):
+    ScriptedHandler.script = [(403, {})]
+    with pytest.raises(AuthError):
+        _gateway(server).complete(_request())
+    assert len(ScriptedHandler.seen) == 1
+
+
+def test_server_errors_then_success_are_retried(server):
+    ScriptedHandler.script = [(500, {}), (503, {}), (200, _reply("recovered"))]
+    response = _gateway(server).complete(_request())
+    assert response.content == "recovered"
+    assert response.retries_used == 2
+    assert len(ScriptedHandler.seen) == 3
+
+
+def test_bad_request_is_sent_once_as_a_plain_backend_error(server):
+    ScriptedHandler.script = [(400, {"error": "bad request"})]
+    with pytest.raises(BackendError) as caught:
+        _gateway(server).complete(_request())
+    assert not isinstance(caught.value, (TransientBackendError, AuthError))
+    assert "HTTP 400" in str(caught.value)
+    assert len(ScriptedHandler.seen) == 1
+
+
+def test_non_json_body_is_malformed_reply():
+    with _raw_server(b"<html>gateway says hi</html>") as url:
+        with pytest.raises(MalformedBackendReply):
+            HttpBackend(url).send(_request())
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("usage", 5), ("usage", [11, 7]), ("usage", "11/7"), ("finish_reason", 7), ("finish_reason", ["stop"])],
+    ids=["usage_int", "usage_list", "usage_text", "finish_reason_int", "finish_reason_list"],
+)
+def test_reply_metadata_of_the_wrong_json_type_is_malformed(field, value, server):
+    payload = _reply("fine")
+    if field == "usage":
+        payload["usage"] = value
+    else:
+        payload["choices"][0]["finish_reason"] = value
+    ScriptedHandler.script = [(200, payload)]
+    with pytest.raises(MalformedBackendReply):
+        HttpBackend(server).send(_request())
+
+
+def test_refused_connection_exhausts_the_retries():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    backend = HttpBackend(f"http://127.0.0.1:{port}/v1/chat/completions", timeout=5)
+    sends, sleeps = [], []
+
+    class Counting:
+        def send(self, request):
+            sends.append(request)
+            return backend.send(request)
+
+    gateway = Gateway(Counting(), retries=2, sleep=sleeps.append)
+    with pytest.raises(ExhaustedRetries) as caught:
+        gateway.complete(_request())
+    assert caught.value.attempts == 3
+    assert isinstance(caught.value.last_error, TransientBackendError)
+    assert len(sends) == 3
+    assert len(sleeps) == 2
+
+
+def test_read_timeout_is_transient():
+    with _raw_server(json.dumps(_reply("late")).encode("ascii"), delay=1.0) as url:
+        started = time.monotonic()
+        with pytest.raises(TransientBackendError):
+            HttpBackend(url, timeout=0.2).send(_request())
+        assert time.monotonic() - started < 0.9
+
+
+def test_non_ascii_text_round_trips():
+    text = "Größe — 世界 ✓"
+    reply = json.dumps(_reply(text), ensure_ascii=False).encode("utf-8")
+    request = ChatRequest(model="remote-model", messages=(user_message(text),), max_tokens=64)
+    with _raw_server(reply) as url:
+        response = HttpBackend(url).send(request)
+    assert response.content == text
+    wire = RawHandler.seen[0]
+    assert wire.isascii()
+    assert json.loads(wire)["messages"] == [{"role": "user", "content": text}]
+
+
+class RedirectHandler(BaseHTTPRequestHandler):
+    """Answers every request with ``status`` and a Location back to the same path."""
+
+    status = 307
+    seen: list[str] = []
+
+    def _redirect(self):
+        type(self).seen.append(self.command)
+        self.send_response(self.status)
+        self.send_header("Location", self.path)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    do_POST = do_GET = _redirect
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("status", [307, 308])
+def test_temporary_and_permanent_redirects_of_the_post_are_not_followed(status):
+    RedirectHandler.status, RedirectHandler.seen = status, []
+    with _serving(RedirectHandler) as url:
+        with pytest.raises(BackendError) as caught:
+            _gateway(url).complete(_request())
+    assert not isinstance(caught.value, (TransientBackendError, AuthError))
+    assert f"HTTP {status}" in str(caught.value)
+    assert RedirectHandler.seen == ["POST"]
+
+
+def test_package_imports_and_runs_without_requests():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys; sys.modules['requests'] = None\n"
+        "import tagevol.cli\n"
+        "tagevol.cli.main(['--help'])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert "usage:" in result.stdout

@@ -103,6 +103,8 @@ class ChatRequest:
                 raise ValueError(f"unknown message role {message.role!r}")
         if not math.isfinite(self.temperature) or self.temperature < 0:
             raise PreconditionError("temperature must be a finite number >= 0")
+        if self.top_p is not None and not math.isfinite(self.top_p):
+            raise PreconditionError("top_p must be a finite number")
         if self.max_tokens <= 0:
             raise PreconditionError("max_tokens must be > 0")
 
@@ -192,7 +194,8 @@ class HttpBackend:
     completion is read from the first choice's message content; a
     ``usage`` that is not an object or a ``finish_reason`` that is not text
     is a :class:`MalformedBackendReply`. The credential comes from the
-    TAGEVOL_API_KEY environment variable unless passed explicitly.
+    TAGEVOL_API_KEY environment variable unless passed explicitly, and is
+    sent only to the endpoint itself: a redirected request carries none.
 
     Status mapping: 401/403 raise :class:`AuthError`; 429 and 5xx raise
     :class:`TransientBackendError`; any other status outside 200-299 raises
@@ -203,7 +206,8 @@ class HttpBackend:
     reply to the POST is not, so it is a :class:`BackendError`.
 
     The constructor raises :class:`PreconditionError` unless ``endpoint`` is
-    an http or https URL with a host.
+    an http or https URL with a host, written in printable ASCII without
+    spaces (percent-encode anything else).
     """
 
     def __init__(self, endpoint: str, api_key: str | None = None, timeout: float = 120.0):
@@ -214,6 +218,10 @@ class HttpBackend:
             raise PreconditionError(f"endpoint {endpoint!r} is not a valid URL: {err}") from err
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise PreconditionError(f"endpoint {endpoint!r} must be an http:// or https:// URL with a host")
+        # http.client refuses to send a URL with a space, a control character
+        # or a non-ASCII character, so such an endpoint could never succeed.
+        if not (endpoint.isascii() and endpoint.isprintable()) or " " in endpoint:
+            raise PreconditionError(f"endpoint {endpoint!r} must be printable ASCII without spaces; percent-encode it")
         self.endpoint = endpoint
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self.timeout = timeout
@@ -227,10 +235,12 @@ class HttpBackend:
         }
         if request.top_p is not None:
             body["top_p"] = request.top_p
-        headers = {"Content-Type": "application/json"}
+        data = json.dumps(body, allow_nan=False).encode("ascii")
+        post = urllib.request.Request(self.endpoint, data=data, headers={"Content-Type": "application/json"})
         if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        post = urllib.request.Request(self.endpoint, data=json.dumps(body).encode("ascii"), headers=headers)
+            # Unredirected: urllib copies ordinary headers onto a redirect's
+            # new request, which may go to another host or to plain http.
+            post.add_unredirected_header("Authorization", f"Bearer {self.api_key}")
         try:
             try:
                 reply = urllib.request.urlopen(post, timeout=self.timeout)

@@ -524,7 +524,9 @@ def test_malformed_mock_script_exits_2(content, tmp_path, capsys):
     assert str(script_path) in error["message"]
 
 
-@pytest.mark.parametrize("endpoint", ["foo", "ftp://host/v1", "http://", "http://host:port/v1"])
+@pytest.mark.parametrize(
+    "endpoint", ["foo", "ftp://host/v1", "http://", "http://host:port/v1", "http://host/v 1", "http://host/\u00fc"]
+)
 def test_endpoint_that_is_not_an_http_url_exits_4_before_any_send(endpoint, tmp_path, capsys, monkeypatch):
     http_sends = []
     monkeypatch.setattr(HttpBackend, "send", lambda self, request: http_sends.append(request))

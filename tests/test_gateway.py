@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 import threading
 import time
@@ -38,6 +39,12 @@ def test_request_requires_a_user_message():
 def test_request_rejects_unknown_roles():
     with pytest.raises(ValueError):
         ChatRequest(model="m", messages=(ChatMessage("tool", "nope"), user_message("hi")))
+
+
+@pytest.mark.parametrize("top_p", [math.nan, math.inf], ids=["nan", "inf"])
+def test_request_rejects_a_non_finite_top_p(top_p):
+    with pytest.raises(PreconditionError):
+        _request("hi", top_p=top_p)
 
 
 def test_mock_replays_scripted_response():

@@ -47,6 +47,8 @@ class ScriptedHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
+    do_GET = do_POST  # a followed 301/302/303 arrives as a GET
+
     def log_message(self, *args):
         pass
 
@@ -58,17 +60,25 @@ def _reply(content, finish="stop"):
     }
 
 
+@contextmanager
+def _serving(handler):
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{httpd.server_address[1]}/v1/chat/completions"
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+
+
 @pytest.fixture
 def server():
-    httpd = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
     ScriptedHandler.script = []
     ScriptedHandler.seen = []
     ScriptedHandler.seen_headers = []
-    yield f"http://127.0.0.1:{httpd.server_address[1]}/v1/chat/completions"
-    httpd.shutdown()
-    httpd.server_close()
+    with _serving(ScriptedHandler) as url:
+        yield url
 
 
 def _request():
@@ -133,18 +143,6 @@ class RawHandler(BaseHTTPRequestHandler):
 
     def log_message(self, *args):
         pass
-
-
-@contextmanager
-def _serving(handler):
-    httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{httpd.server_address[1]}/v1/chat/completions"
-    finally:
-        httpd.shutdown()
-        httpd.server_close()
 
 
 def _raw_server(reply: bytes, delay: float = 0.0):
@@ -244,15 +242,16 @@ def test_non_ascii_text_round_trips():
 
 
 class RedirectHandler(BaseHTTPRequestHandler):
-    """Answers every request with ``status`` and a Location back to the same path."""
+    """Answers every request with ``status`` and a Location of ``location``, or back to the same path."""
 
     status = 307
+    location: str | None = None
     seen: list[str] = []
 
     def _redirect(self):
         type(self).seen.append(self.command)
         self.send_response(self.status)
-        self.send_header("Location", self.path)
+        self.send_header("Location", self.location or self.path)
         self.send_header("Content-Length", "0")
         self.end_headers()
 
@@ -264,13 +263,25 @@ class RedirectHandler(BaseHTTPRequestHandler):
 
 @pytest.mark.parametrize("status", [307, 308])
 def test_temporary_and_permanent_redirects_of_the_post_are_not_followed(status):
-    RedirectHandler.status, RedirectHandler.seen = status, []
+    RedirectHandler.status, RedirectHandler.location, RedirectHandler.seen = status, None, []
     with _serving(RedirectHandler) as url:
         with pytest.raises(BackendError) as caught:
             _gateway(url).complete(_request())
     assert not isinstance(caught.value, (TransientBackendError, AuthError))
     assert f"HTTP {status}" in str(caught.value)
     assert RedirectHandler.seen == ["POST"]
+
+
+@pytest.mark.parametrize("status", [301, 302, 303])
+def test_a_followed_redirect_carries_no_credential(status, server):
+    ScriptedHandler.script = [(200, _reply("moved"))]
+    RedirectHandler.status, RedirectHandler.location, RedirectHandler.seen = status, server, []
+    with _serving(RedirectHandler) as url:
+        response = HttpBackend(url, api_key="sekret").send(_request())
+    assert response.content == "moved"
+    assert RedirectHandler.seen == ["POST"]
+    assert len(ScriptedHandler.seen_headers) == 1
+    assert "Authorization" not in ScriptedHandler.seen_headers[0]
 
 
 def test_package_imports_and_runs_without_requests():

@@ -4,6 +4,10 @@ Texts are lowercased and split on whitespace; a benchmark item counts as
 matched when it shares at least one n-gram with any synthesized instruction.
 Both counting modes are reported: matched benchmark items, and matched
 (synth, benchmark) pairs.
+
+The small benchmark side is indexed and the large synthesized side is read
+once, record by record, so memory grows with the benchmark, not with the
+synthesized dataset.
 """
 
 from __future__ import annotations
@@ -45,41 +49,46 @@ def count_matches(
 ) -> LeakageReport:
     """Count benchmark items and (synth, benchmark) pairs sharing any n-gram.
 
-    Built on an inverted gram index over the synthesized instructions, with
-    up to ``max_samples`` example grams retained for inspection.
+    Indexes the benchmark grams (gram -> benchmark positions), then streams the
+    synthesized records once in order: each record adds one partner to every
+    benchmark item that any of its grams hits, and the first record holding a
+    matched gram is remembered. Up to ``max_samples`` example grams are kept,
+    in benchmark order and sorted gram order, each naming that first record.
     """
     if n < 1:
         raise PreconditionError("n must be >= 1")
-    index: dict[str, set[int]] = {}
-    for position, record in enumerate(synth_records):
-        for gram in extract_ngrams(record.instruction, n):
-            index.setdefault(gram, set()).add(position)
+    bench_grams = [sorted(extract_ngrams(bench.instruction, n)) for bench in benchmark_records]
+    index: dict[str, list[int]] = {}
+    for position, grams in enumerate(bench_grams):
+        for gram in grams:
+            index.setdefault(gram, []).append(position)
 
-    matched_items = 0
-    matched_pairs = 0
+    partner_counts = [0] * len(benchmark_records)
+    first_holder: dict[str, int] = {}
+    for position, record in enumerate(synth_records):
+        hit: set[int] = set()
+        for gram in index.keys() & extract_ngrams(record.instruction, n):
+            hit.update(index[gram])
+            first_holder.setdefault(gram, position)
+        for bench_position in hit:
+            partner_counts[bench_position] += 1
+
     samples: list[dict] = []
-    for bench in benchmark_records:
-        partners: set[int] = set()
-        for gram in sorted(extract_ngrams(bench.instruction, n)):
-            hit = index.get(gram)
-            if hit:
-                partners |= hit
-                if len(samples) < max_samples:
-                    samples.append(
-                        {
-                            "gram": gram,
-                            "synth_id": synth_records[min(hit)].id,
-                            "benchmark_id": bench.id,
-                        }
-                    )
-        if partners:
-            matched_items += 1
-            matched_pairs += len(partners)
+    for bench, grams in zip(benchmark_records, bench_grams):
+        for gram in grams:
+            if len(samples) < max_samples and gram in first_holder:
+                samples.append(
+                    {
+                        "gram": gram,
+                        "synth_id": synth_records[first_holder[gram]].id,
+                        "benchmark_id": bench.id,
+                    }
+                )
     return LeakageReport(
         benchmark=benchmark_name,
         n=n,
-        matched_benchmark_items=matched_items,
-        matched_pairs=matched_pairs,
+        matched_benchmark_items=sum(1 for count in partner_counts if count),
+        matched_pairs=sum(partner_counts),
         benchmark_size=len(benchmark_records),
         samples=samples,
     )

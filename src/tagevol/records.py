@@ -4,12 +4,14 @@ Dataset files are UTF-8 with one JSON object per line. The only required
 field is "instruction"; "id", "response" and "meta" are optional. Evolved
 records additionally carry "parent_id", "round", "budget", "selected_tags",
 "candidate_tags", "plan", "flags" and "raw_digest". Writes are deterministic:
-the same record list always produces byte-identical files.
+the same record list always produces byte-identical files. They are also
+atomic: a killed process leaves either the old file or the new one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -215,14 +217,13 @@ def load_dataset(path: str | Path) -> list[InstructionRecord]:
 
 def write_dataset(records: Sequence[InstructionRecord], path: str | Path) -> None:
     """Write records as JSONL; reruns with equal input are byte-identical."""
-    path = Path(path)
-    try:
-        with path.open("w", encoding="utf-8", newline="\n") as fh:
-            for record in records:
-                fh.write(json.dumps(record_to_json(record), ensure_ascii=False))
-                fh.write("\n")
-    except OSError as err:
-        raise WriteError(f"cannot write {path}: {err}") from err
+
+    def write(fh) -> None:
+        for record in records:
+            fh.write(json.dumps(record_to_json(record), ensure_ascii=False))
+            fh.write("\n")
+
+    _replace_file(path, write)
 
 
 def dedup_key(instruction: str) -> str:
@@ -318,7 +319,30 @@ def json_text(payload) -> str:
 
 def write_json(payload, path: str | Path) -> None:
     """Write ``payload`` as :func:`json_text`; every JSON artifact goes through here."""
+    _replace_file(path, lambda fh: fh.write(json_text(payload)))
+
+
+def _replace_file(path: str | Path, write) -> None:
+    """Run ``write(fh)`` on a sibling ``<name>.tmp``, then rename it over ``path``.
+
+    A process killed mid-write leaves the old file intact. There is no fsync:
+    this guards against a killed process, not against power loss. A symlink or
+    a non-regular file (a device, a pipe) is written through in place, since
+    replacing it would change what ``path`` names. A failed write removes the
+    temp file and raises WriteError, also when ``write`` cannot serialize.
+    """
+    path = Path(path)
     try:
-        Path(path).write_text(json_text(payload), encoding="utf-8")
-    except OSError as err:
+        in_place = path.is_symlink() or (path.exists() and not path.is_file())
+        target = path if in_place else path.with_name(path.name + ".tmp")
+        try:
+            with target.open("w", encoding="utf-8", newline="\n") as fh:
+                write(fh)
+            if not in_place:
+                os.replace(target, path)
+        except BaseException:
+            if not in_place:
+                target.unlink(missing_ok=True)
+            raise
+    except (OSError, TypeError, ValueError) as err:
         raise WriteError(f"cannot write {path}: {err}") from err

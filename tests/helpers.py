@@ -191,6 +191,34 @@ def leakage_oracle(synth_texts, bench_texts, n: int) -> tuple[int, int]:
     return items, pairs
 
 
+def leakage_report_oracle(synth, bench, n: int, max_samples: int) -> dict:
+    """All-pairs reference for a leakage report's counts and samples.
+
+    Samples walk the benchmark in input order and each item's grams in sorted
+    order; ``synth_id`` names the first synthetic record holding the gram.
+    """
+
+    def grams(record):
+        words = record.instruction.lower().split()
+        return {" ".join(words[i : i + n]) for i in range(len(words) - n + 1)}
+
+    synth_grams = [grams(s) for s in synth]
+    items = 0
+    pairs = 0
+    samples = []
+    for b in bench:
+        bench_grams = grams(b)
+        partners = sum(1 for sg in synth_grams if sg & bench_grams)
+        if partners:
+            items += 1
+            pairs += partners
+        for gram in sorted(bench_grams):
+            holders = [s.id for s, sg in zip(synth, synth_grams) if gram in sg]
+            if holders and len(samples) < max_samples:
+                samples.append({"gram": gram, "synth_id": holders[0], "benchmark_id": b.id})
+    return {"matched_benchmark_items": items, "matched_pairs": pairs, "samples": samples}
+
+
 def random_texts(rng: random.Random, count: int, vocab_size: int = 30, min_len: int = 5, max_len: int = 40):
     vocab = [f"w{i}" for i in range(vocab_size)]
     return [

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import as_records, leakage_oracle, random_texts
+from helpers import as_records, leakage_oracle, leakage_report_oracle, random_texts
 from tagevol.errors import PreconditionError
 from tagevol.leakage import count_matches, extract_ngrams
 
@@ -56,6 +59,51 @@ def test_matches_equal_quadratic_oracle_on_random_corpora():
             report = count_matches(as_records(synth_texts), as_records(bench_texts, prefix="b"), n)
             assert report.matched_benchmark_items == items
             assert report.matched_pairs == pairs
+
+
+# Upper- and lower-case spellings of a few words, so grams repeat across
+# benchmark items and case folding is exercised.
+_SMALL_VOCAB = ("a", "b", "c", "A", "d", "B")
+_small_corpus = st.lists(
+    st.lists(st.sampled_from(_SMALL_VOCAB), min_size=1, max_size=10).map(" ".join),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    synth_texts=_small_corpus,
+    bench_texts=_small_corpus,
+    n=st.integers(min_value=1, max_value=4),
+    max_samples=st.sampled_from([0, 1, 3, 50]),
+)
+def test_report_equals_all_pairs_oracle_samples_included(synth_texts, bench_texts, n, max_samples):
+    synth = as_records(synth_texts)
+    bench = as_records(bench_texts, prefix="b")
+    report = count_matches(synth, bench, n, max_samples=max_samples).to_json()
+    expected = leakage_report_oracle(synth, bench, n, max_samples)
+    assert report == {"benchmark": "benchmark", "n": n, "benchmark_size": len(bench), **expected}
+
+
+def _peak_traced_bytes(synth, bench, n: int) -> int:
+    tracemalloc.start()
+    try:
+        count_matches(synth, bench, n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_does_not_grow_with_the_synthetic_side():
+    rng = random.Random(8)
+    synth = as_records(random_texts(rng, 4000, vocab_size=200, min_len=20, max_len=40))
+    # 20 unrelated benchmark items plus 3 copied from the synthetic side, so
+    # both runs below find matches.
+    bench_texts = random_texts(rng, 20, vocab_size=200, min_len=20, max_len=40)
+    bench = as_records(bench_texts + [r.instruction for r in synth[:3]], prefix="b")
+    small = _peak_traced_bytes(synth[:400], bench, 8)
+    large = _peak_traced_bytes(synth, bench, 8)
+    assert large < 2 * small, (small, large)
 
 
 def test_matched_counts_are_nonincreasing_in_n():

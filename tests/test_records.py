@@ -310,3 +310,57 @@ def test_write_json_renders_sorted_indented_utf8(tmp_path):
 def test_write_json_wraps_os_errors(tmp_path):
     with pytest.raises(WriteError):
         write_json({"a": 1}, tmp_path)
+
+
+def _serializes_until_second_record(monkeypatch):
+    calls = []
+
+    def record_to_json_failing(record):
+        calls.append(record)
+        if len(calls) == 2:
+            return {"id": record.id, "unserializable": {"a set"}}
+        return record_to_json(record)
+
+    monkeypatch.setattr("tagevol.records.record_to_json", record_to_json_failing)
+
+
+def test_failed_dataset_write_keeps_old_bytes_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "data.jsonl"
+    write_dataset(_sample_records()[:1], path)
+    old = path.read_bytes()
+    _serializes_until_second_record(monkeypatch)
+    with pytest.raises(WriteError):
+        write_dataset(_sample_records() * 3, path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
+
+
+def test_failed_json_write_keeps_old_bytes_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "report.json"
+    write_json({"a": 1}, path)
+    old = path.read_bytes()
+    with pytest.raises(WriteError):
+        write_json({"a": 2, "b": {"a set"}}, path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_write_replaces_the_file_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_text("old contents that are longer than the new ones\n" * 50, encoding="utf-8")
+    held = path.open(encoding="utf-8")
+    write_dataset(_sample_records(), path)
+    assert load_dataset(path) == _sample_records()
+    assert held.read().startswith("old contents")  # a reader keeps the old file
+    held.close()
+    assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
+
+
+def test_write_through_a_symlink_keeps_the_link(tmp_path):
+    real = tmp_path / "real.json"
+    real.write_text("{}\n", encoding="utf-8")
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    write_json({"a": 1}, link)
+    assert link.is_symlink()
+    assert json.loads(real.read_text(encoding="utf-8")) == {"a": 1}

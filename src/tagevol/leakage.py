@@ -7,12 +7,15 @@ Both counting modes are reported: matched benchmark items, and matched
 
 The small benchmark side is indexed and the large synthesized side is read
 once, record by record, so memory grows with the benchmark, not with the
-synthesized dataset.
+synthesized dataset. A synthesized window is joined and looked up only when
+its first ``min(n, 2)`` words open a benchmark gram.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass
+from itertools import compress
 from typing import Sequence
 
 from .errors import PreconditionError
@@ -49,10 +52,12 @@ def count_matches(
 ) -> LeakageReport:
     """Count benchmark items and (synth, benchmark) pairs sharing any n-gram.
 
-    Indexes the benchmark grams (gram -> benchmark positions), then streams the
-    synthesized records once in order: each record adds one partner to every
-    benchmark item that any of its grams hits, and the first record holding a
-    matched gram is remembered. Up to ``max_samples`` example grams are kept,
+    Indexes the benchmark grams (gram -> benchmark positions) and their first
+    ``min(n, 2)`` words, then streams the synthesized records once in order,
+    lowercased and split as in ``extract_ngrams``; only windows whose first
+    words open a benchmark gram are joined and looked up. A record adds one
+    partner to each benchmark item its grams hit, and the first record holding
+    a matched gram is remembered. Up to ``max_samples`` example grams are kept,
     in benchmark order and sorted gram order, each naming that first record.
     """
     if n < 1:
@@ -62,14 +67,20 @@ def count_matches(
     for position, grams in enumerate(bench_grams):
         for gram in grams:
             index.setdefault(gram, []).append(position)
+    width = min(n, 2)
+    heads = {tuple(map(sys.intern, gram.split(" ", width)[:width])) for gram in index}
 
     partner_counts = [0] * len(benchmark_records)
     first_holder: dict[str, int] = {}
     for position, record in enumerate(synth_records):
+        words = record.instruction.lower().split()
+        opens = map(heads.__contains__, zip(*(words[k:] for k in range(width))))
         hit: set[int] = set()
-        for gram in index.keys() & extract_ngrams(record.instruction, n):
-            hit.update(index[gram])
-            first_holder.setdefault(gram, position)
+        for start in compress(range(len(words) - n + 1), opens):
+            gram = " ".join(words[start : start + n])
+            if gram in index:
+                hit.update(index[gram])
+                first_holder.setdefault(gram, position)
         for bench_position in hit:
             partner_counts[bench_position] += 1
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import as_records, leakage_oracle, leakage_report_oracle, random_texts
+from tagevol import leakage
 from tagevol.errors import PreconditionError
 from tagevol.leakage import count_matches, extract_ngrams
 
@@ -83,6 +84,88 @@ def test_report_equals_all_pairs_oracle_samples_included(synth_texts, bench_text
     report = count_matches(synth, bench, n, max_samples=max_samples).to_json()
     expected = leakage_report_oracle(synth, bench, n, max_samples)
     assert report == {"benchmark": "benchmark", "n": n, "benchmark_size": len(bench), **expected}
+
+
+# Words whose lowercase forms differ from a naive fold (final sigma, dotted
+# capital I, sharp s) and separators that str.split() treats as whitespace.
+# The probe splits synthetic text itself, so both sides must still agree.
+_FOLD_VOCAB = ("Σ", "ΑΣ", "İ", "ß", "SS", "ss", "a", "A", "bC", "Bc")
+_SEPARATORS = (" ", "\t", "\n", "\u3000", "\x1c", "  ")
+_folding_corpus = st.lists(
+    st.lists(st.tuples(st.sampled_from(_FOLD_VOCAB), st.sampled_from(_SEPARATORS)), min_size=1, max_size=10).map(
+        lambda pairs: "".join(word + sep for word, sep in pairs)
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    synth_texts=_folding_corpus,
+    bench_texts=_folding_corpus,
+    n=st.integers(min_value=1, max_value=5),
+    max_samples=st.sampled_from([0, 1, 3, 50]),
+)
+def test_report_equals_oracle_across_separators_and_case_folding(synth_texts, bench_texts, n, max_samples):
+    synth = as_records(synth_texts)
+    bench = as_records(bench_texts, prefix="b")
+    report = count_matches(synth, bench, n, max_samples=max_samples).to_json()
+    expected = leakage_report_oracle(synth, bench, n, max_samples)
+    assert report == {"benchmark": "benchmark", "n": n, "benchmark_size": len(bench), **expected}
+
+
+@pytest.mark.parametrize("synth_size", [0, 1, 40])
+def test_synthetic_side_does_not_extract_ngrams(monkeypatch, synth_size):
+    calls = []
+
+    def counting(text, n):
+        calls.append(text)
+        return extract_ngrams(text, n)
+
+    monkeypatch.setattr(leakage, "extract_ngrams", counting)
+    rng = random.Random(3)
+    synth = as_records(random_texts(rng, synth_size))
+    bench = as_records(random_texts(rng, 7), prefix="b")
+    count_matches(synth, bench, 3)
+    assert len(calls) == len(bench)
+
+
+def test_unigram_probe_matches_single_words():
+    synth = as_records(["zz Top yy", "nothing here"])
+    bench = as_records(["top"], prefix="b")
+    report = count_matches(synth, bench, 1)
+    assert (report.matched_benchmark_items, report.matched_pairs) == (1, 1)
+    assert report.samples == [{"gram": "top", "synth_id": "t:0", "benchmark_id": "b:0"}]
+
+
+def test_bigram_probe_head_is_the_whole_gram():
+    synth = as_records(["x a b y", "a x b", "b a"])
+    bench = as_records(["a b"], prefix="b")
+    report = count_matches(synth, bench, 2)
+    assert (report.matched_benchmark_items, report.matched_pairs) == (1, 1)
+    assert report.samples == [{"gram": "a b", "synth_id": "t:0", "benchmark_id": "b:0"}]
+
+
+def test_shared_head_without_the_gram_is_no_match():
+    synth = as_records(["one two three four five six"])
+    bench = as_records(["one two three four five seven"], prefix="b")
+    report = count_matches(synth, bench, 6)
+    assert (report.matched_benchmark_items, report.matched_pairs, report.samples) == (0, 0, [])
+
+
+def test_synthetic_record_shorter_than_n_matches_nothing():
+    synth = as_records(["one two three"])
+    bench = as_records(["one two three four"], prefix="b")
+    report = count_matches(synth, bench, 4)
+    assert (report.matched_benchmark_items, report.matched_pairs, report.samples) == (0, 0, [])
+
+
+def test_gram_held_by_two_records_names_the_first():
+    synth = as_records(["zero p q r s", "p q r s tail", "lead p q r s"])
+    bench = as_records(["p q r s"], prefix="b")
+    report = count_matches(synth, bench, 4)
+    assert (report.matched_benchmark_items, report.matched_pairs) == (1, 3)
+    assert report.samples == [{"gram": "p q r s", "synth_id": "t:0", "benchmark_id": "b:0"}]
 
 
 def _peak_traced_bytes(synth, bench, n: int) -> int:

@@ -32,7 +32,7 @@ from .gateway import (
     ResponseCache,
 )
 from .leakage import count_matches
-from .metrics import DEFAULT_SAMPLE_SIZE, EmptyInput, MetricsFailed, evaluate_dataset
+from .metrics import DEFAULT_SAMPLE_SIZE, MetricsFailed, evaluate_dataset
 from .records import (
     DuplicateId,
     LoadError,
@@ -66,7 +66,7 @@ class RunConfig:
 
     endpoint: str | None = None
     model: str | None = None
-    models: dict = field(default_factory=dict)
+    models: dict[typing.Literal["tag", "evolve", "respond", "stats"], str] = field(default_factory=dict)
     seed: int = 0
     candidate_size: int = DEFAULT_CANDIDATE_SIZE
     budgets: list[int] | None = None
@@ -80,11 +80,9 @@ class RunConfig:
     mock_script: str | None = None
 
     def model_for(self, stage: str) -> str:
-        override = self.models.get(stage)
-        if override:
-            return str(override)
-        if self.model:
-            return self.model
+        model = self.models.get(stage) or self.model
+        if model:
+            return model
         if self.mock_script:
             return "mock"
         raise PreconditionError("no model configured; pass --model or set it in the config file")
@@ -102,8 +100,12 @@ def _has_type(value, hint) -> bool:
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return any(_has_type(value, arg) for arg in args)
+    if origin is typing.Literal:
+        return value in args
     if origin is list:
         return isinstance(value, list) and all(_has_type(item, args[0]) for item in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(_has_type(k, args[0]) and _has_type(v, args[1]) for k, v in value.items())
     if hint in (int, float) and isinstance(value, bool):
         return False
     return isinstance(value, (int, float) if hint is float else hint)
@@ -412,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     except (LoadError, DuplicateId, WriteError, PoolFormatError, FileNotFoundError) as err:
         _stderr_json("input_error", str(err))
         return EXIT_INPUT
-    except (PreconditionError, EmptyInput) as err:
+    except PreconditionError as err:
         _stderr_json("precondition_error", str(err))
         return EXIT_PRECONDITION
     except (BackendError, BuildFailed, MetricsFailed) as err:

@@ -11,7 +11,6 @@ may filter on flags downstream.
 
 from __future__ import annotations
 
-import ast
 import hashlib
 import json
 import logging
@@ -20,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import ParseError, PreconditionError, RecordError, TagEvolError
+from .errors import ParseError, PreconditionError, RecordError
 from .gateway import (
     DEFAULT_MAX_TOKENS,
     DEFAULT_RETRIES,
@@ -39,8 +38,9 @@ from .records import (
     FLAG_WORD_DELTA_OUT_OF_RANGE,
     EvolvedRecord,
     InstructionRecord,
+    dedup_key,
 )
-from .tagging import TagPool, extract_balanced, fill_template, normalized_tags
+from .tagging import TagPool, extract_balanced, fill_template, normalized_tags, parse_literal
 
 log = logging.getLogger(__name__)
 
@@ -88,14 +88,6 @@ _MARKER_RE = re.compile(
 _SECTION_ORDER = ("subset", "plan", "rewritten", "final")
 
 
-class BadJob(TagEvolError):
-    """An evolution prompt was requested with a bad budget or candidate batch."""
-
-
-class EmptyPool(TagEvolError):
-    """Candidate sampling was asked to draw from an empty tag pool."""
-
-
 class RecordFailed(RecordError):
     """One record produced no usable evolution after all attempts."""
 
@@ -119,13 +111,9 @@ def sample_candidates(pool: TagPool, size: int, rng: random.Random) -> list[str]
     """Uniform sample without replacement over distinct tag strings.
 
     Oversized requests return the whole pool shuffled, with a clamp warning.
-    Deterministic for a given rng state.
+    Deterministic for a given rng state. :func:`evolve_rounds` checks ``size``.
     """
-    if size < 1:
-        raise ValueError("candidate batch size must be >= 1")
     tags = pool.distinct_tags()
-    if not tags:
-        raise EmptyPool("tag pool has no tags to sample")
     if size > len(tags):
         log.warning("candidate batch clamped: requested %d, pool holds %d", size, len(tags))
         size = len(tags)
@@ -139,20 +127,14 @@ def build_evolution_prompt(
 
     The tag list renders as a JSON array of strings and the word-limit clause
     renders the per-budget cap as a literal number (20 times the budget).
+    :func:`evolve_rounds` checks that ``cand`` holds at least ``budget`` >= 1 tags.
     """
     text = record.instruction if isinstance(record, InstructionRecord) else str(record)
-    cand = list(cand)
-    if budget < 1:
-        raise BadJob("budget must be >= 1")
-    if len(set(cand)) != len(cand):
-        raise BadJob("candidate tags must be distinct")
-    if len(cand) < budget:
-        raise BadJob(f"need at least {budget} candidate tags, got {len(cand)}")
     return fill_template(
         EVOLUTION_PROMPT,
         {
             "instruction": text,
-            "tag_list": json.dumps(cand, ensure_ascii=False),
+            "tag_list": json.dumps(list(cand), ensure_ascii=False),
             "budget": str(budget),
             "word_limit": str(WORD_DELTA_PER_BUDGET * budget),
         },
@@ -170,18 +152,14 @@ def _clean_section(text: str) -> str:
 def _parse_subset(section: str) -> list[str]:
     """Read the step-1 tag list: JSON array, quoted bracket list, or comma line."""
     text = _clean_section(section)
-    items: list[str] | None = None
     bracket = extract_balanced(text, "[", "]")
-    if bracket is not None:
-        for parser in (json.loads, ast.literal_eval):
-            try:
-                value = parser(bracket)
-            except (ValueError, SyntaxError):
-                continue
-            if isinstance(value, (list, tuple)):
-                items = [str(v) for v in value]
-            break
-    if items is None:
+    try:
+        value = None if bracket is None else parse_literal(bracket)
+    except (ValueError, SyntaxError, TypeError):
+        value = None
+    if isinstance(value, (list, tuple)):
+        items = [str(v) for v in value]
+    else:
         line = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
         line = line.strip("[]")
         items = [piece.strip().strip("'\"") for piece in line.split(",")]
@@ -224,10 +202,6 @@ def word_count(text: str) -> int:
     return len(text.split())
 
 
-def _squash(text: str) -> str:
-    return " ".join(text.split())
-
-
 def validate_result(
     parsed: ParsedEvolution, budget: int, cand: Sequence[str], original: str
 ) -> list[str]:
@@ -243,13 +217,13 @@ def validate_result(
         flags.append(FLAG_SUBSET_SIZE_MISMATCH)
     if not set(parsed.subset) <= cand_set:
         flags.append(FLAG_SUBSET_NOT_IN_CANDIDATES)
-    original_norm = _squash(original.lower())
+    original_norm = dedup_key(original.lower())
     if any(tag in original_norm for tag in parsed.subset):
         flags.append(FLAG_TAG_ALREADY_PRESENT)
     delta = word_count(parsed.final) - word_count(original)
     if not (WORD_DELTA_MIN <= delta <= WORD_DELTA_PER_BUDGET * budget):
         flags.append(FLAG_WORD_DELTA_OUT_OF_RANGE)
-    if _squash(parsed.final) == _squash(original):
+    if dedup_key(parsed.final) == dedup_key(original):
         flags.append(FLAG_FINAL_EQUALS_ORIGINAL)
     return flags
 
@@ -274,14 +248,9 @@ def evolve_record(
     reply consumes one of ``retries`` extra attempts. A backend failure ends
     the record at once, because the gateway has already retried the
     transient ones. The returned record carries full provenance
-    (candidates, subset, plan, flags, reply digest).
+    (candidates, subset, plan, flags, reply digest). :func:`evolve_rounds`
+    checks ``budget``, ``cand_size`` and the pool size before any send.
     """
-    if pool.distinct_tag_count < budget:
-        raise RecordFailed(
-            record.id,
-            [],
-            f"pool has {pool.distinct_tag_count} distinct tags but the budget needs {budget}",
-        )
     digests: list[str] = []
     candidates: list[str] = []
 

@@ -21,7 +21,7 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -29,7 +29,6 @@ from .errors import LoadError, ParseError, PreconditionError, RecordError
 
 log = logging.getLogger(__name__)
 
-ROLES = ("system", "user", "assistant")
 API_KEY_ENV = "TAGEVOL_API_KEY"
 
 # Decoding defaults: diversity-friendly sampling for tagging and evolution,
@@ -86,25 +85,17 @@ def user_message(content: str) -> ChatMessage:
 
 @dataclass(frozen=True)
 class ChatRequest:
-    """One chat-completion request: model id, messages and decoding params."""
+    """One chat-completion request; the constructor checks only the decoding params."""
 
     model: str
     messages: tuple[ChatMessage, ...]
     temperature: float = DEFAULT_TEMPERATURE
     max_tokens: int = DEFAULT_MAX_TOKENS
-    top_p: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "messages", tuple(self.messages))
-        if not any(m.role == "user" for m in self.messages):
-            raise ValueError("request needs at least one user message")
-        for message in self.messages:
-            if message.role not in ROLES:
-                raise ValueError(f"unknown message role {message.role!r}")
         if not math.isfinite(self.temperature) or self.temperature < 0:
             raise PreconditionError("temperature must be a finite number >= 0")
-        if self.top_p is not None and not math.isfinite(self.top_p):
-            raise PreconditionError("top_p must be a finite number")
         if self.max_tokens <= 0:
             raise PreconditionError("max_tokens must be > 0")
 
@@ -117,7 +108,6 @@ class ChatResponse:
     finish_reason: str = "stop"
     prompt_tokens: int | None = None
     completion_tokens: int | None = None
-    retries_used: int = 0
 
 
 def prompt_digest(messages: Iterable[ChatMessage]) -> str:
@@ -134,7 +124,7 @@ def request_cache_key(request: ChatRequest) -> str:
             "messages": [[m.role, m.content] for m in request.messages],
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
-            "top_p": request.top_p,
+            "top_p": None,  # no request sets it; kept so existing cache keys do not change
         },
         ensure_ascii=False,
         sort_keys=True,
@@ -190,12 +180,12 @@ class HttpBackend:
     """POSTs chat-completion requests to an HTTP endpoint with the standard library.
 
     Body: {"model", "messages": [{"role", "content"}], "temperature",
-    "max_tokens"} (plus "top_p" when set), as ASCII-escaped JSON. The
-    completion is read from the first choice's message content; a
-    ``usage`` that is not an object or a ``finish_reason`` that is not text
-    is a :class:`MalformedBackendReply`. The credential comes from the
-    TAGEVOL_API_KEY environment variable unless passed explicitly, and is
-    sent only to the endpoint itself: a redirected request carries none.
+    "max_tokens"}, as ASCII-escaped JSON. The completion is read from the
+    first choice's message content; a ``usage`` that is not an object or a
+    ``finish_reason`` that is not text is a :class:`MalformedBackendReply`.
+    The credential comes from the TAGEVOL_API_KEY environment variable unless
+    passed explicitly, and is sent only to the endpoint itself: a redirected
+    request carries none.
 
     Status mapping: 401/403 raise :class:`AuthError`; 429 and 5xx raise
     :class:`TransientBackendError`; any other status outside 200-299 raises
@@ -227,14 +217,12 @@ class HttpBackend:
         self.timeout = timeout
 
     def send(self, request: ChatRequest) -> ChatResponse:
-        body: dict = {
+        body = {
             "model": request.model,
             "messages": [{"role": m.role, "content": m.content} for m in request.messages],
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
-        if request.top_p is not None:
-            body["top_p"] = request.top_p
         data = json.dumps(body, allow_nan=False).encode("ascii")
         post = urllib.request.Request(self.endpoint, data=data, headers={"Content-Type": "application/json"})
         if self.api_key:
@@ -397,12 +385,10 @@ class Gateway:
             except TransientBackendError as err:
                 last = err
                 continue
-            response = replace(response, retries_used=attempt)
             parsed = parse(response)
             if self.cache is not None:
                 self.cache.put(key, response)
             return parsed
-        assert last is not None
         raise ExhaustedRetries(last, attempts=self.retries + 1)
 
     def ask(self, next_request: Callable[[], ChatRequest], parse: Callable[[ChatResponse], T], retries: int) -> T:

@@ -48,13 +48,12 @@ def diversity(tag_sets: Sequence[Iterable]) -> int:
 class MetricsReport:
     """Difficulty/diversity over the successfully tagged sample.
 
-    ``sample_size`` counts surviving samples, so difficulty always equals
-    sum(per_sample_counts) / sample_size; dropped samples are listed aside.
+    ``sample_size`` counts surviving samples, so difficulty is the mean tag
+    count over them; dropped samples are listed aside.
     """
 
     difficulty: float
     diversity: int
-    per_sample_counts: list[int]
     sample_size: int
     model: str
     dropped: list[dict]
@@ -113,7 +112,6 @@ def evaluate_dataset(
     return MetricsReport(
         difficulty=difficulty(tag_sets),
         diversity=diversity(tag_sets),
-        per_sample_counts=[len(s) for s in tag_sets],
         sample_size=len(tag_sets),
         model=model,
         dropped=dropped,

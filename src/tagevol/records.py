@@ -292,15 +292,13 @@ def build_manifest(
             buckets.items(), key=lambda item: (item[0][0] is not None, item[0][0] or 0, item[0][1] or 0)
         )
     ]
-    manifest = DatasetManifest(
+    return DatasetManifest(
         name=name,
         sources=[str(s) for s in sources],
         record_count=len(records),
         rounds=rounds,
         parameters=dict(parameters),
     )
-    assert manifest.record_count == sum(r["count"] for r in rounds), "round breakdown must cover all records"
-    return manifest
 
 
 def manifest_path(dataset_path: str | Path) -> Path:

@@ -28,7 +28,7 @@ from .gateway import (
     Gateway,
     user_message,
 )
-from .records import InstructionRecord, write_json
+from .records import InstructionRecord, _checked, _is_int, _is_str, _is_str_list, write_json
 
 log = logging.getLogger(__name__)
 
@@ -119,15 +119,12 @@ def extract_balanced(text: str, open_char: str, close_char: str) -> str | None:
     return None
 
 
-def _parse_object_literal(text: str):
+def parse_literal(text: str):
+    """``text`` as JSON, else as a Python literal; ValueError, SyntaxError or TypeError if neither."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
-        pass
-    try:
+    except ValueError:
         return ast.literal_eval(text)
-    except (ValueError, SyntaxError) as err:
-        raise ParseError("BadObject", f"cannot parse tag object: {err}") from err
 
 
 def parse_tagging_response(text: str) -> dict[str, list[str]]:
@@ -143,7 +140,10 @@ def parse_tagging_response(text: str) -> dict[str, list[str]]:
     object_text = extract_balanced(tail, "{", "}")
     if object_text is None:
         raise ParseError("BadObject", "no tag object after the final marker")
-    parsed = _parse_object_literal(object_text)
+    try:
+        parsed = parse_literal(object_text)
+    except (ValueError, SyntaxError, TypeError) as err:
+        raise ParseError("BadObject", f"cannot parse tag object: {err}") from err
     if not isinstance(parsed, dict):
         raise ParseError("BadObject", "tag payload is not an object")
     result: dict[str, list[str]] = {}
@@ -367,7 +367,11 @@ def save_pool(pool: TagPool, path: str | Path) -> None:
 
 
 def load_pool(path: str | Path) -> TagPool:
-    """Load a pool saved by :func:`save_pool`; lossless round trip."""
+    """Load a pool saved by :func:`save_pool`; lossless round trip.
+
+    Entry fields are checked, never coerced, as :func:`records.record_from_json`
+    checks them; a wrong type raises :class:`PoolFormatError`.
+    """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
@@ -379,12 +383,14 @@ def load_pool(path: str | Path) -> TagPool:
     entries: dict[tuple[str, str], TagEntry] = {}
     try:
         for item in payload["entries"]:
+            if not isinstance(item, dict):
+                raise TypeError(f"entry is not an object: {json.dumps(item, ensure_ascii=False)}")
             entry = TagEntry(
-                tag=item["tag"],
-                aspect=item["aspect"],
-                surface_forms=set(item["surface_forms"]),
-                sources=set(item["sources"]),
-                count=int(item["count"]),
+                tag=_checked(item, "tag", _is_str, "a string"),
+                aspect=_checked(item, "aspect", _is_str, "a string"),
+                surface_forms=set(_checked(item, "surface_forms", _is_str_list, "a list of strings")),
+                sources=set(_checked(item, "sources", _is_str_list, "a list of strings")),
+                count=_checked(item, "count", _is_int, "an integer"),
             )
             entries[(entry.aspect, entry.tag)] = entry
     except (KeyError, TypeError, ValueError) as err:

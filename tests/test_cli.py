@@ -399,8 +399,8 @@ def test_bad_setting_on_tag_exits_4_before_any_send(flag, value, tmp_path, capsy
 
 @pytest.mark.parametrize(
     "extra",
-    [("--budgets", "2", "--candidate-size", "1"), ("--budgets", "1", "30")],
-    ids=["candidate_size", "pool_size"],
+    [("--budgets", "2", "--candidate-size", "1"), ("--budgets", "1", "30"), ("--budgets", "0"), ("--budgets", "-1")],
+    ids=["candidate_size", "pool_size", "budget_zero", "budget_negative"],
 )
 def test_evolve_precondition_exits_4_before_any_send(extra, tmp_path, capsys, sends):
     _, seed_path, script_path = _prepare(tmp_path, budgets=(1,))
@@ -412,6 +412,25 @@ def test_evolve_precondition_exits_4_before_any_send(extra, tmp_path, capsys, se
         ["evolve", str(seed_path), str(pool_path), str(out_dir), "--mock-script", str(script_path), "--no-cache", *extra]
     )
     assert code == EXIT_PRECONDITION
+    assert sends == []
+    assert not out_dir.exists()
+
+
+def test_evolve_with_a_wrongly_typed_pool_entry_exits_2_before_any_send(tmp_path, capsys, sends):
+    _, seed_path, script_path = _prepare(tmp_path, budgets=(1,))
+    pool_path = tmp_path / "pool.json"
+    assert _tag(seed_path, script_path, pool_path) == EXIT_OK
+    capsys.readouterr()
+    pool = json.loads(pool_path.read_text(encoding="utf-8"))
+    pool["entries"][0]["tag"] = 5
+    pool_path.write_text(json.dumps(pool), encoding="utf-8")
+    sends.clear()
+    out_dir = tmp_path / "out"
+    code = main(
+        ["evolve", str(seed_path), str(pool_path), str(out_dir), "--budgets", "1", "--mock-script", str(script_path), "--no-cache"]
+    )
+    assert code == EXIT_INPUT
+    assert json.loads(capsys.readouterr().err)["error"] == "input_error"
     assert sends == []
     assert not out_dir.exists()
 
@@ -471,7 +490,17 @@ def test_respond_with_nothing_to_send_exits_0(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key,value",
-    [("retries", "3"), ("models", []), ("temperature", "hot"), ("budgets", [1, "2"]), ("no_cache", 1), ("seed", True)],
+    [
+        ("retries", "3"),
+        ("models", []),
+        ("temperature", "hot"),
+        ("budgets", [1, "2"]),
+        ("no_cache", 1),
+        ("seed", True),
+        ("models", {"tag": 5}),
+        ("models", {"tag": ["x"]}),
+        ("models", {"tagging": "big"}),
+    ],
 )
 def test_config_value_of_the_wrong_json_type_exits_2(key, value, tmp_path, capsys):
     _, seed_path, script_path = _prepare(tmp_path)

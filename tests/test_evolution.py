@@ -18,8 +18,6 @@ from helpers import SynthesizingBackend, evolution_reply, make_pool, make_record
 from tagevol.errors import ParseError, PreconditionError
 from tagevol.evolution import (
     PRESETS,
-    BadJob,
-    EmptyPool,
     RecordFailed,
     build_evolution_prompt,
     evolve_record,
@@ -59,16 +57,6 @@ def test_prompt_contains_budget_and_exclusion_clause():
 def test_word_limit_clause_renders_the_product(budget, limit):
     prompt = build_evolution_prompt("solve it", budget, [f"t{i}" for i in range(10)])
     assert f"between 10 and {limit} words" in prompt
-
-
-def test_prompt_rejects_oversized_budget():
-    with pytest.raises(BadJob):
-        build_evolution_prompt("task", 5, ["a", "b"])
-
-
-def test_prompt_rejects_duplicate_candidates():
-    with pytest.raises(BadJob):
-        build_evolution_prompt("task", 1, ["a", "a"])
 
 
 @pytest.mark.parametrize("case,original,style", ALL_CASE_FIXTURES)
@@ -116,6 +104,11 @@ def test_unparseable_subset_is_bad_subset():
     with pytest.raises(ParseError) as excinfo:
         parse_evolution_response(reply)
     assert excinfo.value.reason == "BadSubset"
+
+
+def test_subset_with_an_unhashable_literal_falls_back_to_the_comma_line():
+    reply = evolution_reply(["x"], "final text here").replace('["x"]', '["alpha", {["beta"]: 1}]')
+    assert parse_evolution_response(reply).subset[0] == "alpha"
 
 
 def test_subset_accepts_comma_separated_line():
@@ -206,13 +199,6 @@ def test_single_draws_are_uniform_over_the_pool():
     assert chi_square < 27.88
 
 
-def test_empty_pool_rejected():
-    from tagevol.tagging import TagPool
-
-    with pytest.raises(EmptyPool):
-        sample_candidates(TagPool(), 1, random.Random(0))
-
-
 def test_evolve_record_assembles_full_provenance():
     record = make_records(1)[0]
     pool = make_pool([f"notion {i}" for i in range(8)])
@@ -236,12 +222,14 @@ def test_evolve_record_assembles_full_provenance():
     assert evolved.instruction == final
 
 
-def test_evolve_record_requires_enough_distinct_tags():
+def test_direct_caller_with_too_few_candidates_gets_a_flag():
+    # evolve_rounds would refuse this budget; evolve_record itself only flags the reply.
     record = make_records(1)[0]
-    pool = make_pool(["a", "b"])
-    gateway = Gateway(MockBackend(), sleep=lambda _: None)
-    with pytest.raises(RecordFailed):
-        evolve_record(record, 5, pool, gateway, random.Random(0), model="mock")
+    pool = make_pool(["alpha notion", "beta notion"])
+    gateway = Gateway(SynthesizingBackend(), sleep=lambda _: None)
+    evolved = evolve_record(record, 3, pool, gateway, random.Random(0), model="mock")
+    assert sorted(evolved.candidate_tags) == sorted(evolved.selected_tags) == ["alpha notion", "beta notion"]
+    assert FLAG_SUBSET_SIZE_MISMATCH in evolved.flags
 
 
 class AlwaysMalformed:

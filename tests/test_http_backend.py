@@ -105,7 +105,7 @@ def test_rate_limit_then_success_is_retried(server):
     gateway = Gateway(HttpBackend(server), retries=3, sleep=lambda _: None)
     response = gateway.complete(_request())
     assert response.content == "finally"
-    assert response.retries_used == 2
+    assert len(ScriptedHandler.seen) == 3
 
 
 def test_unauthorized_surfaces_immediately(server):
@@ -165,7 +165,6 @@ def test_server_errors_then_success_are_retried(server):
     ScriptedHandler.script = [(500, {}), (503, {}), (200, _reply("recovered"))]
     response = _gateway(server).complete(_request())
     assert response.content == "recovered"
-    assert response.retries_used == 2
     assert len(ScriptedHandler.seen) == 3
 
 

@@ -84,7 +84,6 @@ def test_evaluate_dataset_reports_over_the_sample():
     gateway = _tagging_gateway(records, [[f"tag {i} a", f"tag {i} b"] for i in range(6)])
     report = evaluate_dataset(records, gateway, sample_size=4, rng=random.Random(3), model="judge")
     assert report.sample_size == 4
-    assert report.per_sample_counts == [2, 2, 2, 2]
     assert report.difficulty == 2.0
     assert report.diversity == 8
     assert report.model == "judge"
@@ -136,7 +135,7 @@ def test_parse_retry_gets_a_fresh_reply(cached, tmp_path):
     gateway = Gateway(backend, max_in_flight=1, cache=cache, sleep=lambda _: None)
     report = evaluate_dataset(records, gateway, sample_size=1, retries=2, model="judge")
     assert backend.sends == 2
-    assert report.per_sample_counts == [2]
+    assert (report.difficulty, report.diversity) == (2.0, 2)
     assert report.dropped == []
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from tagevol.evolution import evolve_rounds, sample_candidates
 from tagevol.errors import ParseError
 from tagevol.gateway import ChatResponse, Gateway, MockBackend, ResponseCache, prompt_digest, user_message
 from tagevol.tagging import (
+    POOL_FORMAT_VERSION,
     BuildFailed,
     EmptyInstruction,
     PoolFormatError,
@@ -77,6 +79,18 @@ def test_parse_accepts_single_quoted_object():
 def test_parse_bad_object():
     with pytest.raises(ParseError) as excinfo:
         parse_tagging_response("#Aspect2Tags#\n{Skill: [tag1, tag2]}")
+    assert excinfo.value.reason == "BadObject"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    ["{'Skill': ['x'], ['key']: 1}", '{"Skill": [' + "1" * 5000 + "]}"],
+    ids=["unhashable_key", "overlong_integer"],
+)
+def test_literal_that_python_cannot_build_is_bad_object(payload):
+    # Neither may escape the parser: a non-ParseError would end the whole stage.
+    with pytest.raises(ParseError) as excinfo:
+        parse_tagging_response("#Aspect2Tags#\n" + payload)
     assert excinfo.value.reason == "BadObject"
 
 
@@ -240,11 +254,34 @@ def test_save_load_round_trip(tmp_path):
     assert entry.surface_forms == {"Loops", "LOOPS"}
 
 
+GOOD_POOL_ENTRY = {"tag": "loops", "aspect": "skill", "surface_forms": ["Loops"], "sources": ["r1"], "count": 2}
+
+
+def _pool_text(*entries) -> str:
+    return json.dumps({"version": POOL_FORMAT_VERSION, "model": "m", "entries": list(entries)})
+
+
 def test_load_rejects_corrupted_pool(tmp_path):
     path = tmp_path / "pool.json"
-    path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(PoolFormatError):
-        load_pool(path)
+    path.write_text(_pool_text(GOOD_POOL_ENTRY), encoding="utf-8")
+    assert load_pool(path).entries[("skill", "loops")] == TagEntry("loops", "skill", {"Loops"}, {"r1"}, 2)
+    # Entry fields are checked, never coerced.
+    bad_entries = [
+        5,
+        ["loops", "skill"],
+        {key: value for key, value in GOOD_POOL_ENTRY.items() if key != "tag"},
+        {**GOOD_POOL_ENTRY, "tag": 5},
+        {**GOOD_POOL_ENTRY, "aspect": None},
+        {**GOOD_POOL_ENTRY, "surface_forms": "abc"},
+        {**GOOD_POOL_ENTRY, "sources": [1]},
+        {**GOOD_POOL_ENTRY, "count": True},
+        {**GOOD_POOL_ENTRY, "count": 2.0},
+        {**GOOD_POOL_ENTRY, "count": "2"},
+    ]
+    for content in ["{not json", *(_pool_text(GOOD_POOL_ENTRY, entry) for entry in bad_entries)]:
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(PoolFormatError):
+            load_pool(path)
 
 
 def test_load_rejects_version_mismatch(tmp_path):

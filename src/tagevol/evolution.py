@@ -150,13 +150,18 @@ def _clean_section(text: str) -> str:
 
 
 def _parse_subset(section: str) -> list[str]:
-    """Read the step-1 tag list: JSON array, quoted bracket list, or comma line."""
+    """Read the step-1 tag list: JSON array, quoted bracket list, or comma line.
+
+    A list nested too deeply to parse is :class:`ParseError` ``BadSubset``.
+    """
     text = _clean_section(section)
     bracket = extract_balanced(text, "[", "]")
     try:
         value = None if bracket is None else parse_literal(bracket)
     except (ValueError, SyntaxError, TypeError):
         value = None
+    except RecursionError as err:
+        raise ParseError("BadSubset", f"cannot parse step 1 subset: {err}") from err
     if isinstance(value, (list, tuple)):
         items = [str(v) for v in value]
     else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -91,7 +92,7 @@ class EvolvedRecord(InstructionRecord):
             raise ValueError("budget must be >= 1")
         if FLAG_SUBSET_SIZE_MISMATCH not in self.flags and len(self.selected_tags) != self.budget:
             raise ValueError("selected tag count must equal budget unless flagged")
-        if FLAG_SUBSET_NOT_IN_CANDIDATES not in self.flags and not set(self.selected_tags) <= set(self.candidate_tags):
+        if FLAG_SUBSET_NOT_IN_CANDIDATES not in self.flags and not set(self.candidate_tags).issuperset(self.selected_tags):
             raise ValueError("selected tags must come from the candidate batch unless flagged")
 
 
@@ -108,6 +109,23 @@ def _is_str(value) -> bool:
 
 def _is_str_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
+def _shared_str_list(obj: dict, key: str) -> list[str]:
+    """``obj[key]`` as a list of interned strings.
+
+    Tags and flags come from closed sets (the pool's tags, the flag codes), so
+    every loaded record shares one string per distinct value. ``sys.intern``
+    raises TypeError on a non-string, so a value it rejects gets the default
+    or the error of :func:`_checked`.
+    """
+    value = obj.get(key)
+    if isinstance(value, list):
+        try:
+            return list(map(sys.intern, value))
+        except TypeError:
+            pass
+    return _checked(obj, key, _is_str_list, "a list of strings", [])
 
 
 def _checked(obj: dict, key: str, accepts, expected: str, default=None):
@@ -129,6 +147,11 @@ def record_from_json(obj: dict, *, default_id: str | None = None) -> Instruction
     are integers (not booleans), ``parent_id`` is a string, the tag and flag
     lists hold only strings, and ``plan`` and ``raw_digest`` are strings. The
     lists, ``plan`` and ``raw_digest`` may be absent or null.
+
+    ``selected_tags``, ``candidate_tags`` and ``flags`` hold interned strings
+    (``sys.intern``), so equal tags are one object across records and loads.
+    On CPython 3.12 interned strings are immortal: a process keeps each
+    distinct tag it ever loaded, a cost bounded by the distinct-tag count.
     """
     instruction = obj.get("instruction")
     if not isinstance(instruction, str) or not instruction.strip():
@@ -160,10 +183,10 @@ def record_from_json(obj: dict, *, default_id: str | None = None) -> Instruction
             parent_id=_checked(obj, "parent_id", _is_str, "a string"),
             round=_checked(obj, "round", _is_int, "an integer"),
             budget=_checked(obj, "budget", _is_int, "an integer"),
-            selected_tags=_checked(obj, "selected_tags", _is_str_list, "a list of strings", []),
-            candidate_tags=_checked(obj, "candidate_tags", _is_str_list, "a list of strings", []),
+            selected_tags=_shared_str_list(obj, "selected_tags"),
+            candidate_tags=_shared_str_list(obj, "candidate_tags"),
             plan=_checked(obj, "plan", _is_str, "a string", ""),
-            flags=_checked(obj, "flags", _is_str_list, "a list of strings", []),
+            flags=_shared_str_list(obj, "flags"),
             raw_digest=_checked(obj, "raw_digest", _is_str, "a string", ""),
         )
     return InstructionRecord(id=record_id, instruction=instruction, response=response, meta=meta)
@@ -187,7 +210,12 @@ def record_to_json(record: InstructionRecord) -> dict:
 
 
 def load_dataset(path: str | Path) -> list[InstructionRecord]:
-    """Read a JSONL dataset, assigning "<filename>:<line#>" ids where absent."""
+    """Read a JSONL dataset, assigning "<filename>:<line#>" ids where absent.
+
+    Evolved records share one interned string per distinct tag and flag, so
+    a list slot costs a pointer, not a string. On CPython 3.12 those strings
+    are immortal (see :func:`record_from_json`).
+    """
     path = Path(path)
     if not path.is_file():
         raise LoadError(path, 0, "file does not exist")

@@ -120,11 +120,20 @@ def extract_balanced(text: str, open_char: str, close_char: str) -> str | None:
 
 
 def parse_literal(text: str):
-    """``text`` as JSON, else as a Python literal; ValueError, SyntaxError or TypeError if neither."""
+    """``text`` as JSON, else as a Python literal.
+
+    Raises ValueError, SyntaxError or TypeError when it is neither, and
+    RecursionError when it nests deeper than either parser can follow.
+    """
     try:
         return json.loads(text)
     except ValueError:
+        pass
+    try:
         return ast.literal_eval(text)
+    except MemoryError as err:
+        # CPython's parser reports a stack overflow on deep nesting as MemoryError.
+        raise RecursionError(f"literal nests too deeply: {err}") from err
 
 
 def parse_tagging_response(text: str) -> dict[str, list[str]]:
@@ -142,7 +151,7 @@ def parse_tagging_response(text: str) -> dict[str, list[str]]:
         raise ParseError("BadObject", "no tag object after the final marker")
     try:
         parsed = parse_literal(object_text)
-    except (ValueError, SyntaxError, TypeError) as err:
+    except (ValueError, SyntaxError, TypeError, RecursionError) as err:
         raise ParseError("BadObject", f"cannot parse tag object: {err}") from err
     if not isinstance(parsed, dict):
         raise ParseError("BadObject", "tag payload is not an object")
@@ -370,7 +379,10 @@ def load_pool(path: str | Path) -> TagPool:
     """Load a pool saved by :func:`save_pool`; lossless round trip.
 
     Entry fields are checked, never coerced, as :func:`records.record_from_json`
-    checks them; a wrong type raises :class:`PoolFormatError`.
+    checks them; a wrong type raises :class:`PoolFormatError`. So do a
+    repeated ``(aspect, tag)`` entry, a ``model`` that is not a string and a
+    ``built_from`` that is neither an object nor null, none of which
+    :func:`save_pool` writes.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -392,7 +404,14 @@ def load_pool(path: str | Path) -> TagPool:
                 sources=set(_checked(item, "sources", _is_str_list, "a list of strings")),
                 count=_checked(item, "count", _is_int, "an integer"),
             )
+            if (entry.aspect, entry.tag) in entries:
+                raise ValueError(f"repeated entry for aspect {entry.aspect!r}, tag {entry.tag!r}")
             entries[(entry.aspect, entry.tag)] = entry
     except (KeyError, TypeError, ValueError) as err:
         raise PoolFormatError(f"{path}: malformed pool entry: {err}") from err
-    return TagPool(entries=entries, model=payload.get("model", ""), built_from=payload.get("built_from"))
+    try:
+        model = _checked(payload, "model", _is_str, "a string", "")
+        built_from = _checked(payload, "built_from", lambda v: v is None or isinstance(v, dict), "an object or null")
+    except ValueError as err:
+        raise PoolFormatError(f"{path}: {err}") from err
+    return TagPool(entries=entries, model=model, built_from=built_from)

@@ -23,6 +23,7 @@ from tagevol.evolution import (
     evolve_record,
     evolve_rounds,
     parse_evolution_response,
+    record_seed,
     sample_candidates,
     validate_result,
     word_count,
@@ -109,6 +110,33 @@ def test_unparseable_subset_is_bad_subset():
 def test_subset_with_an_unhashable_literal_falls_back_to_the_comma_line():
     reply = evolution_reply(["x"], "final text here").replace('["x"]', '["alpha", {["beta"]: 1}]')
     assert parse_evolution_response(reply).subset[0] == "alpha"
+
+
+DEEP_SUBSETS = ["[" * 20000 + "]" * 20000, "[" * 20000 + "'x'" + "]" * 20000, "[" + "-" * 50000 + "1]"]
+
+
+@pytest.mark.parametrize("subset", DEEP_SUBSETS, ids=["json", "quoted", "unary"])
+def test_subset_nested_too_deeply_is_bad_subset(subset):
+    reply = evolution_reply(["x"], "final text here").replace('["x"]', subset)
+    with pytest.raises(ParseError) as excinfo:
+        parse_evolution_response(reply)
+    assert excinfo.value.reason == "BadSubset"
+
+
+def test_too_deeply_nested_subset_fails_only_its_record():
+    records = make_records(3)
+    pool = make_pool([f"notion {i}" for i in range(8)])
+    backend = MockBackend()
+    for index, record in enumerate(records):
+        batch = sample_candidates(pool, 6, random.Random(record_seed(7, 1, index)))
+        subset = DEEP_SUBSETS[0] if index == 1 else batch[:2]
+        reply = evolution_reply(["x"], valid_final(record.instruction, batch[:2])).replace('["x"]', str(subset))
+        backend.register(prompt_digest([user_message(build_evolution_prompt(record, 2, batch))]), reply)
+    gateway = Gateway(backend, sleep=lambda _: None)
+    result = evolve_rounds(records, [2], pool, gateway, 7, cand_size=6, retries=0, model="mock")
+    assert [r.parent_id for r in result.rounds[0]] == [records[0].id, records[2].id]
+    assert [f["record_id"] for f in result.failures] == [records[1].id]
+    assert "no usable reply after 1 attempts: BadSubset:" in result.failures[0]["error"]
 
 
 def test_subset_accepts_comma_separated_line():

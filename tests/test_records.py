@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tagevol.records import (
+    FLAG_TAG_ALREADY_PRESENT,
     DuplicateId,
     EvolvedRecord,
     InstructionRecord,
@@ -76,6 +78,10 @@ def test_load_error_carries_line_number(tmp_path):
         ("plan", 5),
         ("plan", ["integrate"]),
         ("raw_digest", 0),
+        ("candidate_tags", ["a", None]),
+        ("candidate_tags", [["a"]]),
+        ("flags", ["a", None]),
+        ("flags", [["a"]]),
     ],
 )
 def test_evolved_field_of_the_wrong_json_type_is_a_load_error(key, value, tmp_path):
@@ -108,6 +114,66 @@ def test_evolved_optional_fields_may_be_absent_or_null(tmp_path):
     )
     for record in load_dataset(path):
         assert (record.round, record.budget, record.plan, record.flags, record.raw_digest) == (2, 1, "", [], "")
+
+
+def _evolved_line(index: int, candidates: list[str], flags: list[str]) -> str:
+    return json.dumps(
+        {
+            "id": f"e{index}",
+            "instruction": f"rewritten task {index}",
+            "parent_id": f"p{index}",
+            "round": 1,
+            "budget": 2,
+            "selected_tags": candidates[:2],
+            "candidate_tags": candidates,
+            "flags": flags,
+        }
+    )
+
+
+def _vocabulary_file(path, records: int, candidates: int, vocabulary: int, offset: int = 0):
+    tags = [f"shared tag {i:03d}" for i in range(vocabulary)]
+    _write_lines(
+        path,
+        [
+            _evolved_line(i, [tags[(offset + i + j) % vocabulary] for j in range(candidates)], [FLAG_TAG_ALREADY_PRESENT])
+            for i in range(records)
+        ],
+    )
+
+
+def test_loaded_tags_and_flags_share_one_string_per_value(tmp_path):
+    _vocabulary_file(tmp_path / "one.jsonl", records=20, candidates=6, vocabulary=8)
+    _vocabulary_file(tmp_path / "two.jsonl", records=20, candidates=6, vocabulary=8, offset=3)
+    records = load_dataset(tmp_path / "one.jsonl") + load_dataset(tmp_path / "two.jsonl")
+    first: dict[str, str] = {}
+    for record in records:
+        for value in record.candidate_tags + record.selected_tags + record.flags:
+            assert first.setdefault(value, value) is value
+    assert len(first) == 9
+
+
+def _retained_bytes(path) -> int:
+    tracemalloc.start()
+    try:
+        records = load_dataset(path)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 1000
+    return retained
+
+
+def test_a_loaded_candidate_slot_costs_a_pointer_not_a_string(tmp_path):
+    short, long = tmp_path / "short.jsonl", tmp_path / "long.jsonl"
+    _vocabulary_file(short, records=1000, candidates=30, vocabulary=100)
+    _vocabulary_file(long, records=1000, candidates=60, vocabulary=100)
+    for path in (short, long):
+        load_dataset(path)  # intern the vocabulary before tracing
+    extra_slots = 1000 * (60 - 30)
+    # A slot is an 8-byte pointer plus list over-allocation; a private
+    # "shared tag 042" string per slot would cost about 60 bytes more.
+    assert _retained_bytes(long) - _retained_bytes(short) <= 16 * extra_slots
 
 
 def test_missing_id_defaults_to_filename_and_line(tmp_path):

@@ -84,8 +84,13 @@ def test_parse_bad_object():
 
 @pytest.mark.parametrize(
     "payload",
-    ["{'Skill': ['x'], ['key']: 1}", '{"Skill": [' + "1" * 5000 + "]}"],
-    ids=["unhashable_key", "overlong_integer"],
+    [
+        "{'Skill': ['x'], ['key']: 1}",
+        '{"Skill": [' + "1" * 5000 + "]}",
+        '{"Skill": ' + "[" * 20000 + "]" * 20000 + "}",
+        "{'Skill': [" + "-" * 50000 + "1]}",
+    ],
+    ids=["unhashable_key", "overlong_integer", "deep_json_nesting", "deep_literal_nesting"],
 )
 def test_literal_that_python_cannot_build_is_bad_object(payload):
     # Neither may escape the parser: a non-ParseError would end the whole stage.
@@ -135,6 +140,20 @@ def _scripted_gateway(records, replies):
         prompt = build_tagging_prompt(record)
         backend.register(prompt_digest([user_message(prompt)]), reply)
     return Gateway(backend, sleep=lambda _: None)
+
+
+def test_too_deeply_nested_reply_fails_only_its_record():
+    records = make_records(3)
+    replies = [
+        tagging_reply({"Skill": ["loops"]}),
+        "#Aspect2Tags#\n{\"Skill\": " + "[" * 20000 + "]" * 20000 + "}",
+        tagging_reply({"Skill": ["recursion"]}),
+    ]
+    gateway = _scripted_gateway(records, replies)
+    pool, report = build_tag_pool(records, gateway, retries_per_record=1, model="mock")
+    assert pool.distinct_tags() == ("loops", "recursion")
+    assert [f["record_id"] for f in report.failures] == [records[1].id]
+    assert report.failures[0]["error"].startswith("BadObject:")
 
 
 def test_pool_merges_observations_across_records():
@@ -281,6 +300,21 @@ def test_load_rejects_corrupted_pool(tmp_path):
     for content in ["{not json", *(_pool_text(GOOD_POOL_ENTRY, entry) for entry in bad_entries)]:
         path.write_text(content, encoding="utf-8")
         with pytest.raises(PoolFormatError):
+            load_pool(path)
+
+
+def test_load_rejects_what_save_pool_never_writes(tmp_path):
+    path = tmp_path / "pool.json"
+    path.write_text(_pool_text(GOOD_POOL_ENTRY, {**GOOD_POOL_ENTRY, "count": 5}), encoding="utf-8")
+    with pytest.raises(PoolFormatError, match="repeated entry"):
+        load_pool(path)
+    good = {"version": POOL_FORMAT_VERSION, "model": "m", "entries": [GOOD_POOL_ENTRY]}
+    for built_from in (None, {"dataset": "seed.jsonl"}):
+        path.write_text(json.dumps({**good, "built_from": built_from}), encoding="utf-8")
+        assert load_pool(path).built_from == built_from
+    for key, value in [("model", 5), ("model", ["m"]), ("built_from", "x"), ("built_from", [1])]:
+        path.write_text(json.dumps({**good, key: value}), encoding="utf-8")
+        with pytest.raises(PoolFormatError, match=repr(key)):
             load_pool(path)
 
 

@@ -304,7 +304,7 @@ def cmd_leakage(args: argparse.Namespace, config: RunConfig) -> int:
     for bench_path in args.benchmarks:
         bench = load_dataset(bench_path)
         for n in args.ngrams:
-            report = count_matches(synth, bench, n, benchmark_name=Path(bench_path).name)
+            report = count_matches(synth, bench, n, benchmark_name=bench_path)
             reports.append(report.to_json())
     _emit({"dataset": str(args.dataset), "reports": reports}, out=args.out)
     return EXIT_OK

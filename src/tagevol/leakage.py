@@ -5,17 +5,16 @@ matched when it shares at least one n-gram with any synthesized instruction.
 Both counting modes are reported: matched benchmark items, and matched
 (synth, benchmark) pairs.
 
-The small benchmark side is indexed and the large synthesized side is read
-once, record by record, so memory grows with the benchmark, not with the
-synthesized dataset. A synthesized window is joined and looked up only when
-its first ``min(n, 2)`` words open a benchmark gram.
+The benchmark side is indexed and the synthesized side streamed once, so
+memory grows with the benchmark only. Each n-word window holds exactly one
+anchor, the ``min(n, 2)``-word tuple at a multiple of ``n - min(n, 2) + 1``; only
+windows around an anchor found in the benchmark are looked up, each at most once.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import asdict, dataclass
-from itertools import compress
+from itertools import compress, islice
 from typing import Sequence
 
 from .errors import PreconditionError
@@ -52,54 +51,55 @@ def count_matches(
 ) -> LeakageReport:
     """Count benchmark items and (synth, benchmark) pairs sharing any n-gram.
 
-    Indexes the benchmark grams (gram -> benchmark positions) and their first
-    ``min(n, 2)`` words, then streams the synthesized records once in order,
-    lowercased and split as in ``extract_ngrams``; only windows whose first
-    words open a benchmark gram are joined and looked up. A record adds one
-    partner to each benchmark item its grams hit, and the first record holding
-    a matched gram is remembered. Up to ``max_samples`` example grams are kept,
-    in benchmark order and sorted gram order, each naming that first record.
+    Indexes the benchmark grams and the ``width``-word tuples of items holding
+    one, then streams the synthesized records once, in order, split as in
+    ``extract_ngrams``. Every window holds exactly one anchor, a tuple at a
+    multiple of ``stride``, and a matching window's anchor is indexed; so only
+    windows around an indexed anchor are looked up, at worst every window once.
+    Samples, in benchmark and sorted gram order, name each gram's first holder.
     """
     if n < 1:
         raise PreconditionError("n must be >= 1")
+    width = min(n, 2)
+    stride = n - width + 1
     bench_grams = [sorted(extract_ngrams(bench.instruction, n)) for bench in benchmark_records]
     index: dict[str, list[int]] = {}
-    for position, grams in enumerate(bench_grams):
+    keys: set[tuple[str, str]] = set()
+    for position, (bench, grams) in enumerate(zip(benchmark_records, bench_grams)):
         for gram in grams:
             index.setdefault(gram, []).append(position)
-    width = min(n, 2)
-    heads = {tuple(map(sys.intern, gram.split(" ", width)[:width])) for gram in index}
+        if grams:
+            words = bench.instruction.lower().split()
+            keys.update(zip(words, words[width - 1 :]))
 
     partner_counts = [0] * len(benchmark_records)
     first_holder: dict[str, int] = {}
     for position, record in enumerate(synth_records):
         words = record.instruction.lower().split()
-        opens = map(heads.__contains__, zip(*(words[k:] for k in range(width))))
+        anchors = list(zip(words[::stride], words[width - 1 :: stride]))
+        if keys.isdisjoint(anchors):
+            continue
         hit: set[int] = set()
-        for start in compress(range(len(words) - n + 1), opens):
-            gram = " ".join(words[start : start + n])
-            if gram in index:
-                hit.update(index[gram])
-                first_holder.setdefault(gram, position)
+        for anchor in compress(range(0, len(words), stride), map(keys.__contains__, anchors)):
+            for start in range(max(anchor - stride + 1, 0), min(anchor, len(words) - n) + 1):
+                gram = " ".join(words[start : start + n])
+                if gram in index:
+                    hit.update(index[gram])
+                    first_holder.setdefault(gram, position)
         for bench_position in hit:
             partner_counts[bench_position] += 1
 
-    samples: list[dict] = []
-    for bench, grams in zip(benchmark_records, bench_grams):
-        for gram in grams:
-            if len(samples) < max_samples and gram in first_holder:
-                samples.append(
-                    {
-                        "gram": gram,
-                        "synth_id": synth_records[first_holder[gram]].id,
-                        "benchmark_id": bench.id,
-                    }
-                )
+    matched = (
+        {"gram": gram, "synth_id": synth_records[first_holder[gram]].id, "benchmark_id": bench.id}
+        for bench, grams in zip(benchmark_records, bench_grams)
+        for gram in grams
+        if gram in first_holder
+    )
     return LeakageReport(
         benchmark=benchmark_name,
         n=n,
         matched_benchmark_items=sum(1 for count in partner_counts if count),
         matched_pairs=sum(partner_counts),
         benchmark_size=len(benchmark_records),
-        samples=samples,
+        samples=list(islice(matched, max(max_samples, 0))),
     )

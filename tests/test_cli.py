@@ -271,6 +271,18 @@ def test_leakage_command_reports_the_trivial_overlap(tmp_path, capsys):
     assert by_n[13]["matched_benchmark_items"] == 0
 
 
+def test_leakage_names_each_report_by_the_benchmark_path_as_given(tmp_path, capsys):
+    (tmp_path / "synth.jsonl").write_text(json.dumps({"instruction": "x y z"}) + "\n", encoding="utf-8")
+    for name, text in (("gsm8k", "x y w"), ("math", "q x y")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "test.jsonl").write_text(json.dumps({"instruction": text}) + "\n", encoding="utf-8")
+    code = main(["leakage", "synth.jsonl", "gsm8k/test.jsonl", "math/test.jsonl", "--ngrams", "2"])
+    assert code == EXIT_OK
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert [r["benchmark"] for r in reports] == ["gsm8k/test.jsonl", "math/test.jsonl"]
+    assert [r["matched_pairs"] for r in reports] == [1, 1]
+
+
 def test_stats_command_prints_a_report(tmp_path, capsys):
     records, seed_path, script_path = _prepare(tmp_path, budgets=(1,))
     code = main(

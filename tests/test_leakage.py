@@ -114,6 +114,61 @@ def test_report_equals_oracle_across_separators_and_case_folding(synth_texts, be
     assert report == {"benchmark": "benchmark", "n": n, "benchmark_size": len(bench), **expected}
 
 
+# A few words, so anchor tuples recur and most anchor hits hold no gram.
+_LONG_VOCAB = ("p", "q", "r", "P")
+
+
+@st.composite
+def _planted_long_corpus(draw):
+    """n in 6..16; synthetic records of n-1..3n words, some holding a copy of
+    a benchmark gram at an arbitrary offset, at offset 0 or as the last window."""
+    n = draw(st.integers(min_value=6, max_value=16))
+    word = st.sampled_from(_LONG_VOCAB)
+    bench = draw(st.lists(st.lists(word, min_size=n - 1, max_size=3 * n), min_size=1, max_size=4))
+    synth = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        length = draw(st.integers(min_value=n - 1, max_value=3 * n))
+        words = draw(st.lists(word, min_size=length, max_size=length))
+        source = draw(st.sampled_from(bench))
+        if length >= n and len(source) >= n and draw(st.booleans()):
+            start = draw(st.integers(min_value=0, max_value=len(source) - n))
+            offset = draw(st.sampled_from([0, length - n]) | st.integers(min_value=0, max_value=length - n))
+            words[offset : offset + n] = source[start : start + n]
+        synth.append(" ".join(words))
+    return n, synth, [" ".join(words) for words in bench]
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus=_planted_long_corpus(), max_samples=st.sampled_from([0, 1, 3, 50]))
+def test_report_equals_oracle_for_long_grams_planted_anywhere(corpus, max_samples):
+    n, synth_texts, bench_texts = corpus
+    synth = as_records(synth_texts)
+    bench = as_records(bench_texts, prefix="b")
+    report = count_matches(synth, bench, n, max_samples=max_samples).to_json()
+    expected = leakage_report_oracle(synth, bench, n, max_samples)
+    assert report == {"benchmark": "benchmark", "n": n, "benchmark_size": len(bench), **expected}
+
+
+def _placements(n: int):
+    """(offset, tail) for a gram starting at each offset 0 .. 2 * stride, with
+    filler after it or ending the record, where stride = n - min(n, 2) + 1."""
+    stride = n - min(n, 2) + 1
+    return [(offset, tail) for offset in range(2 * stride + 1) for tail in (0, 3)]
+
+
+@pytest.mark.parametrize(("n", "offset", "tail"), [(n, *p) for n in (1, 8, 13) for p in _placements(n)])
+def test_gram_is_found_at_every_anchor_phase(n, offset, tail):
+    gram = [f"g{i}" for i in range(n)]
+    # The decoy holds the gram with its last word changed: for n > 1 its
+    # anchors hit the benchmark, but it holds no gram.
+    decoy = " ".join(gram[:-1] + ["other"])
+    planted = " ".join([f"f{i}" for i in range(offset)] + gram + [f"t{i}" for i in range(tail)])
+    bench = as_records(["lead " + " ".join(gram) + " end"], prefix="b")
+    report = count_matches(as_records([decoy, planted]), bench, n)
+    assert (report.matched_benchmark_items, report.matched_pairs) == (1, 1)
+    assert report.samples == [{"gram": " ".join(gram), "synth_id": "t:1", "benchmark_id": "b:0"}]
+
+
 @pytest.mark.parametrize("synth_size", [0, 1, 40])
 def test_synthetic_side_does_not_extract_ngrams(monkeypatch, synth_size):
     calls = []

@@ -8,7 +8,7 @@ class TagEvolError(Exception):
 
 
 class RecordError(TagEvolError):
-    """One record failed; its stage reports it and carries on (see ``Gateway.map_in_order``)."""
+    """One record failed; ``Gateway.map_in_order`` lists it in the stage's failures and the stage carries on."""
 
 
 class ParseError(RecordError):

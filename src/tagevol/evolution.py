@@ -110,14 +110,12 @@ class ParsedEvolution:
 def sample_candidates(pool: TagPool, size: int, rng: random.Random) -> list[str]:
     """Uniform sample without replacement over distinct tag strings.
 
-    Oversized requests return the whole pool shuffled, with a clamp warning.
-    Deterministic for a given rng state. :func:`evolve_rounds` checks ``size``.
+    A ``size`` above the pool's distinct tag count returns the whole pool
+    shuffled; :func:`evolve_rounds` clamps it once per run, with a warning.
+    Deterministic for a given rng state.
     """
     tags = pool.distinct_tags()
-    if size > len(tags):
-        log.warning("candidate batch clamped: requested %d, pool holds %d", size, len(tags))
-        size = len(tags)
-    return rng.sample(tags, size)
+    return rng.sample(tags, min(size, len(tags)))
 
 
 def build_evolution_prompt(
@@ -338,7 +336,8 @@ def evolve_rounds(
     This is the one check of the run's budgets: they must be a nonempty list
     of integers >= 1, and both ``cand_size`` and the pool's distinct tag
     count must reach the largest budget. A violation raises
-    :class:`PreconditionError` before any send.
+    :class:`PreconditionError` before any send. A ``cand_size`` above the
+    distinct tag count is clamped to it, with one warning per run.
     """
     budgets = list(budgets)
     if not budgets or any(b < 1 for b in budgets):
@@ -346,10 +345,12 @@ def evolve_rounds(
     largest = max(budgets)
     if cand_size < largest:
         raise PreconditionError(f"candidate_size {cand_size} is smaller than the largest budget {largest}")
-    if pool.distinct_tag_count < largest:
-        raise PreconditionError(
-            f"pool has {pool.distinct_tag_count} distinct tags but the largest budget is {largest}"
-        )
+    distinct = pool.distinct_tag_count
+    if distinct < largest:
+        raise PreconditionError(f"pool has {distinct} distinct tags but the largest budget is {largest}")
+    if cand_size > distinct:
+        log.warning("candidate batch clamped: requested %d, pool holds %d", cand_size, distinct)
+        cand_size = distinct
     seed_records = list(seed_records)
     jobs = [
         (round_index, budget, index, record)
@@ -373,10 +374,11 @@ def evolve_rounds(
             max_tokens=max_tokens,
         )
 
-    result = RoundsResult(rounds=[[] for _ in budgets])
-    for (round_index, _, _, record), outcome in zip(jobs, gateway.map_in_order(evolve_job, jobs)):
-        if isinstance(outcome, RecordError):
-            result.failures.append({"round": round_index, "record_id": record.id, "error": str(outcome)})
-        else:
-            result.rounds[round_index - 1].append(outcome)
+    evolved, failures = gateway.map_in_order(
+        evolve_job, jobs, label=lambda job: {"round": job[0], "record_id": job[3].id}
+    )
+    result = RoundsResult(rounds=[[] for _ in budgets], failures=failures)
+    for record in evolved:
+        if record is not None:
+            result.rounds[record.round - 1].append(record)
     return result

@@ -325,6 +325,10 @@ def _identity(response: ChatResponse) -> ChatResponse:
     return response
 
 
+def _record_label(item) -> dict:
+    return {"record_id": item.id}
+
+
 class Gateway:
     """Shared front door to a backend: retries, concurrency bound, cache.
 
@@ -406,23 +410,27 @@ class Gateway:
                 continue
         return self.complete(next_request(), parse)
 
-    def map_in_order(self, fn: Callable, items: Sequence) -> list:
-        """Apply ``fn`` to items concurrently under the gateway bound.
+    def map_in_order(self, fn: Callable, items: Sequence, *, label: Callable = _record_label) -> tuple[list, list[dict]]:
+        """Run ``fn`` on every item concurrently under the gateway bound.
 
-        This is the one record-failure policy of the pipeline: a
-        :class:`RecordError` raised for an item is returned in that item's
-        place and the other items still run; any other exception propagates.
-        Results come back in input order, regardless of completion order.
+        This is the stage runner and the one record-failure policy of the
+        pipeline. It returns ``(outcomes, failures)``, both in input order:
+        ``outcomes[i]`` is ``fn(items[i])``, or ``None`` if that item raised a
+        :class:`RecordError`, which adds ``{**label(item), "error": str(err)}``
+        to ``failures``. The other items still run; any other exception
+        propagates. The default label is ``{"record_id": item.id}``.
         """
 
         def run(item):
             try:
-                return fn(item)
+                return fn(item), None
             except RecordError as err:
-                return err
+                return None, {**label(item), "error": str(err)}
 
         items = list(items)
         if self.max_in_flight == 1 or len(items) <= 1:
-            return [run(item) for item in items]
-        with ThreadPoolExecutor(max_workers=min(self.max_in_flight, len(items))) as pool:
-            return list(pool.map(run, items))
+            results = [run(item) for item in items]
+        else:
+            with ThreadPoolExecutor(max_workers=min(self.max_in_flight, len(items))) as pool:
+                results = list(pool.map(run, items))
+        return [outcome for outcome, _ in results], [failure for _, failure in results if failure is not None]

@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import PreconditionError, RecordError, TagEvolError
+from .errors import PreconditionError, TagEvolError
 from .gateway import DEFAULT_MAX_TOKENS, DEFAULT_RETRIES, DEFAULT_TEMPERATURE, Gateway
 from .records import InstructionRecord
 from .tagging import normalized_tags, tag_record
@@ -93,20 +93,17 @@ def evaluate_dataset(
     rng = rng if rng is not None else random.Random(0)
     sample = rng.sample(records, sample_size)
 
-    outcomes = gateway.map_in_order(
+    outcomes, dropped = gateway.map_in_order(
         lambda record: tag_record(
             record, gateway, retries, model=model, temperature=temperature, max_tokens=max_tokens
         ),
         sample,
     )
-    tag_sets: list[set[str]] = []
-    dropped: list[dict] = []
-    for record, outcome in zip(sample, outcomes):
-        if isinstance(outcome, RecordError):
-            dropped.append({"record_id": record.id, "error": str(outcome)})
-        else:
-            parsed, _ = outcome
-            tag_sets.append({tag for tags in parsed.values() for _, tag in normalized_tags(tags)})
+    tag_sets = [
+        {tag for tags in outcome[0].values() for _, tag in normalized_tags(tags)}
+        for outcome in outcomes
+        if outcome is not None
+    ]
     if not tag_sets:
         raise MetricsFailed("all sampled records failed tagging")
     return MetricsReport(

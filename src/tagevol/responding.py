@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .errors import RecordError
 from .gateway import (
     DEFAULT_MAX_TOKENS,
     DEFAULT_RETRIES,
@@ -47,9 +46,8 @@ def generate_responses(
     through unchanged. Any reply counts as a response, so ``retries`` (the
     stage's parse-retry allowance) never adds a send: each prompt gets the
     gateway's transient retries only, and any other backend failure, such as
-    a rejected credential, fails the record after one send.
-    ``gateway.map_in_order`` reports such a failure in the record's place;
-    the record passes through unchanged and is listed in the report.
+    a rejected credential, fails the record after one send. A failed record
+    passes through unchanged and is listed in the report's ``failures``.
     """
     records = list(records)
 
@@ -61,15 +59,7 @@ def generate_responses(
         )
         return replace(record, response=gateway.ask(lambda: request, lambda reply: reply.content, retries))
 
-    out: list[InstructionRecord] = []
-    report = ResponseReport()
-    for record, outcome in zip(records, gateway.map_in_order(respond, records)):
-        if isinstance(outcome, RecordError):
-            report.failures.append({"record_id": record.id, "error": str(outcome)})
-            outcome = record
-        elif outcome is record:
-            report.skipped += 1
-        else:
-            report.filled += 1
-        out.append(outcome)
-    return out, report
+    outcomes, failures = gateway.map_in_order(respond, records)
+    out = [record if outcome is None else outcome for record, outcome in zip(records, outcomes)]
+    filled = sum(new is not old for new, old in zip(out, records))
+    return out, ResponseReport(filled=filled, skipped=len(records) - filled - len(failures), failures=failures)

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ParseError, RecordError, TagEvolError
+from .errors import ParseError, TagEvolError
 from .gateway import (
     DEFAULT_MAX_TOKENS,
     DEFAULT_RETRIES,
@@ -327,7 +327,7 @@ def build_tag_pool(
     records = list(records)
     if not records:
         raise BuildFailed("no records to tag")
-    outcomes = gateway.map_in_order(
+    outcomes, failures = gateway.map_in_order(
         lambda record: tag_record(
             record, gateway, retries_per_record, model=model, temperature=temperature, max_tokens=max_tokens
         ),
@@ -335,10 +335,9 @@ def build_tag_pool(
     )
 
     pool = TagPool(model=model)
-    report = TagPoolBuildReport(total_records=len(records))
+    report = TagPoolBuildReport(total_records=len(records), failures=failures)
     for record, outcome in zip(records, outcomes):
-        if isinstance(outcome, RecordError):
-            report.failures.append({"record_id": record.id, "error": str(outcome)})
+        if outcome is None:
             continue
         parsed, preamble = outcome
         report.tagged_records += 1

@@ -195,12 +195,25 @@ def test_sample_of_full_pool_is_a_permutation():
     assert sorted(batch) == ["a", "b", "c"]
 
 
-def test_oversized_sample_clamps_with_warning(caplog):
-    pool = make_pool(["a", "b", "c"])
+def test_evolve_rounds_clamps_an_oversized_candidate_size_with_one_warning(caplog):
+    records = make_records(4)
+    tags = ["a notion", "b notion", "c notion", "d notion", "e notion"]
+    pool = make_pool(tags)
+
+    def run(cand_size):
+        gateway = Gateway(SynthesizingBackend(), sleep=lambda _: None)
+        return evolve_rounds(records, [1, 2], pool, gateway, master_seed=3, cand_size=cand_size, model="mock")
+
     with caplog.at_level(logging.WARNING):
-        batch = sample_candidates(pool, 30, random.Random(1))
-    assert sorted(batch) == ["a", "b", "c"]
-    assert any("clamped" in message for message in caplog.messages)
+        clamped = run(30)
+    assert [m for m in caplog.messages if "clamped" in m] == ["candidate batch clamped: requested 30, pool holds 5"]
+    assert all(sorted(r.candidate_tags) == tags for round_records in clamped.rounds for r in round_records)
+    assert sum(map(len, clamped.rounds)) == 8
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        exact = run(5)
+    assert not caplog.messages
+    assert clamped == exact
 
 
 def test_sampling_is_deterministic_per_seed():

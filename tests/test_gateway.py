@@ -133,8 +133,9 @@ def test_batch_results_match_input_order_under_random_latency():
         inner.register(prompt_digest(request.messages), f"reply {i}")
         requests.append(request)
     gateway = Gateway(LatencyBackend(inner, random.Random(7)), max_in_flight=5, sleep=lambda _: None)
-    results = gateway.map_in_order(gateway.complete, requests)
+    results, failures = gateway.map_in_order(gateway.complete, requests)
     assert [r.content for r in results] == [f"reply {i}" for i in range(12)]
+    assert failures == []
 
 
 def test_batch_serializes_with_bound_one():
@@ -145,8 +146,9 @@ def test_batch_serializes_with_bound_one():
         inner.register(prompt_digest(request.messages), f"s{i}")
         requests.append(request)
     gateway = Gateway(inner, max_in_flight=1, sleep=lambda _: None)
-    results = gateway.map_in_order(gateway.complete, requests)
+    results, failures = gateway.map_in_order(gateway.complete, requests)
     assert [r.content for r in results] == [f"s{i}" for i in range(6)]
+    assert failures == []
 
 
 class ConcurrencyProbe:
@@ -168,29 +170,59 @@ class ConcurrencyProbe:
 def test_in_flight_bound_is_enforced():
     probe = ConcurrencyProbe()
     gateway = Gateway(probe, max_in_flight=3, sleep=lambda _: None)
-    gateway.map_in_order(gateway.complete, [_request(f"c{i}") for i in range(12)])
+    results, failures = gateway.map_in_order(gateway.complete, [_request(f"c{i}") for i in range(12)])
     assert probe.peak <= 3
+    assert [r.content for r in results] == ["ok"] * 12
+    assert failures == []
+
+
+class Item:
+    def __init__(self, n):
+        self.n = n
+        self.id = f"item:{n}"
 
 
 @pytest.mark.parametrize("max_in_flight", [1, 2])
-def test_map_in_order_returns_record_errors_in_their_item_place(max_in_flight):
+def test_map_in_order_reports_record_errors_as_failures_in_input_order(max_in_flight):
     ran = []
 
     def fn(item):
-        ran.append(item)
-        if item % 3 == 1:
-            raise ParseError("Empty", f"item {item}")
-        if item % 3 == 2:
-            raise AuthError(f"item {item}")
-        return item * 10
+        ran.append(item.n)
+        if item.n % 3 == 1:
+            raise ParseError("Empty", f"item {item.n}")
+        if item.n % 3 == 2:
+            raise AuthError(f"item {item.n}")
+        return item.n * 10
 
     gateway = Gateway(MockBackend(), max_in_flight=max_in_flight)
-    results = gateway.map_in_order(fn, range(7))
+    results, failures = gateway.map_in_order(fn, [Item(n) for n in range(7)])
     assert sorted(ran) == list(range(7))
-    assert [type(r) for r in results] == [int, ParseError, AuthError] * 2 + [int]
-    assert all(isinstance(r, RecordError) for r in results if not isinstance(r, int))
-    assert [r for r in results if isinstance(r, int)] == [0, 30, 60]
-    assert str(results[4]) == "Empty: item 4"
+    assert results == [0, None, None, 30, None, None, 60]
+    assert failures == [
+        {"record_id": "item:1", "error": "Empty: item 1"},
+        {"record_id": "item:2", "error": "item 2"},
+        {"record_id": "item:4", "error": "Empty: item 4"},
+        {"record_id": "item:5", "error": "item 5"},
+    ]
+
+
+def test_map_in_order_failure_dict_comes_from_the_label():
+    def fn(item):
+        raise RecordError(f"bad {item.n}")
+
+    gateway = Gateway(MockBackend(), max_in_flight=2)
+    items = [Item(3), Item(4)]
+    assert gateway.map_in_order(fn, items) == (
+        [None, None],
+        [{"record_id": "item:3", "error": "bad 3"}, {"record_id": "item:4", "error": "bad 4"}],
+    )
+    results, failures = gateway.map_in_order(fn, items, label=lambda item: {"round": item.n, "record_id": item.id})
+    assert results == [None, None]
+    assert failures == [
+        {"round": 3, "record_id": "item:3", "error": "bad 3"},
+        {"round": 4, "record_id": "item:4", "error": "bad 4"},
+    ]
+    assert list(failures[0]) == ["round", "record_id", "error"]
 
 
 @pytest.mark.parametrize("max_in_flight", [1, 2])

@@ -34,7 +34,6 @@ from .gateway import (
 from .leakage import count_matches
 from .metrics import DEFAULT_SAMPLE_SIZE, MetricsFailed, evaluate_dataset
 from .records import (
-    DuplicateId,
     LoadError,
     WriteError,
     build_manifest,
@@ -42,12 +41,13 @@ from .records import (
     load_dataset,
     manifest_path,
     merge_rounds,
+    read_json,
     write_dataset,
     write_json,
     write_manifest,
 )
 from .responding import generate_responses
-from .tagging import BuildFailed, PoolFormatError, build_tag_pool, load_pool, save_pool
+from .tagging import BuildFailed, build_tag_pool, load_pool, save_pool
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -117,10 +117,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         path = Path(args.config)
         if not path.is_file():
             raise LoadError(path, 0, "config file does not exist")
-        try:
-            loaded = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as err:
-            raise LoadError(path, 0, f"config is not valid JSON: {err.msg}") from err
+        loaded = read_json(path)
         if not isinstance(loaded, dict):
             raise LoadError(path, 0, "config must be a JSON object")
         unknown = set(loaded) - _CONFIG_KEYS
@@ -193,32 +190,37 @@ def cmd_tag(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_evolve(args: argparse.Namespace, config: RunConfig) -> int:
-    if args.preset:
-        budgets = list(PRESETS[args.preset])
-    elif args.budgets:
-        budgets = list(args.budgets)
-    elif config.budgets:
-        budgets = list(config.budgets)
-    else:
+    budgets = list(PRESETS[args.preset] if args.preset else args.budgets or config.budgets or [])
+    if not budgets:
         raise PreconditionError("no budgets configured; pass --budgets or --preset")
     seeds = load_dataset(args.seed_dataset)
     pool = load_pool(args.pool)
     gateway = make_gateway(config)
     model = config.model_for("evolve")
-    result = evolve_rounds(
-        seeds,
-        budgets,
-        pool,
-        gateway,
-        config.seed,
-        config.candidate_size,
-        config.retries,
-        model=model,
-        temperature=config.temperature,
-        max_tokens=config.max_tokens,
-    )
+    # Made before any send, so an unusable out_dir costs no call; a failed precondition undoes it.
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise WriteError(f"cannot create {out_dir}: {err}") from err
+    try:
+        result = evolve_rounds(
+            seeds,
+            budgets,
+            pool,
+            gateway,
+            config.seed,
+            config.candidate_size,
+            config.retries,
+            model=model,
+            temperature=config.temperature,
+            max_tokens=config.max_tokens,
+        )
+    except PreconditionError:
+        for path in made:
+            path.rmdir()
+        raise
     parameters = {
         "model": model,
         "rng_seed": config.seed,
@@ -411,9 +413,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = build_config(args)
         return args.func(args, config)
-    except (LoadError, DuplicateId, WriteError, PoolFormatError, FileNotFoundError) as err:
-        _stderr_json("input_error", str(err))
-        return EXIT_INPUT
     except PreconditionError as err:
         _stderr_json("precondition_error", str(err))
         return EXIT_PRECONDITION
@@ -421,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
         _stderr_json("backend_error", str(err))
         return EXIT_BACKEND
     except TagEvolError as err:
-        _stderr_json("error", str(err))
+        _stderr_json("input_error", str(err))
         return EXIT_INPUT
 
 

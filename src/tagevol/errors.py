@@ -28,7 +28,7 @@ class PreconditionError(TagEvolError, ValueError):
 
 
 class LoadError(TagEvolError):
-    """An input file (dataset, config, mock script) could not be read or is malformed."""
+    """An input file (dataset, pool, config, mock script) cannot be read, is not UTF-8 or is malformed."""
 
     def __init__(self, path, line: int, detail: str):
         self.path = str(path)

@@ -19,12 +19,11 @@ import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import ParseError, PreconditionError, RecordError
+from .errors import ParseError, PreconditionError
 from .gateway import (
     DEFAULT_MAX_TOKENS,
     DEFAULT_RETRIES,
     DEFAULT_TEMPERATURE,
-    BackendError,
     ChatRequest,
     ChatResponse,
     Gateway,
@@ -86,15 +85,6 @@ _MARKER_RE = re.compile(
     re.IGNORECASE,
 )
 _SECTION_ORDER = ("subset", "plan", "rewritten", "final")
-
-
-class RecordFailed(RecordError):
-    """One record produced no usable evolution after all attempts."""
-
-    def __init__(self, record_id: str, attempt_digests: list[str], detail: str):
-        self.record_id = record_id
-        self.attempt_digests = attempt_digests
-        super().__init__(f"record {record_id}: {detail}")
 
 
 @dataclass(frozen=True)
@@ -250,11 +240,12 @@ def evolve_record(
     Each attempt draws a fresh candidate batch from ``rng``; an unparseable
     reply consumes one of ``retries`` extra attempts. A backend failure ends
     the record at once, because the gateway has already retried the
-    transient ones. The returned record carries full provenance
-    (candidates, subset, plan, flags, reply digest). :func:`evolve_rounds`
-    checks ``budget``, ``cand_size`` and the pool size before any send.
+    transient ones. Raises the gateway's :class:`BackendError`, or the last
+    :class:`ParseError` when no reply parses. The returned record carries
+    full provenance (candidates, subset, plan, flags, reply digest).
+    :func:`evolve_rounds` checks ``budget``, ``cand_size`` and the pool size
+    before any send.
     """
-    digests: list[str] = []
     candidates: list[str] = []
 
     def next_request() -> ChatRequest:
@@ -267,16 +258,11 @@ def evolve_record(
             max_tokens=max_tokens,
         )
 
-    def parse(response: ChatResponse) -> ParsedEvolution:
-        digests.append(hashlib.sha256(response.content.encode("utf-8")).hexdigest())
-        return parse_evolution_response(response.content)
+    def parse(response: ChatResponse) -> tuple[ParsedEvolution, str]:
+        parsed = parse_evolution_response(response.content)
+        return parsed, hashlib.sha256(response.content.encode("utf-8")).hexdigest()
 
-    try:
-        parsed = gateway.ask(next_request, parse, retries)
-    except BackendError as err:
-        raise RecordFailed(record.id, digests, f"backend failed: {err}") from err
-    except ParseError as err:
-        raise RecordFailed(record.id, digests, f"no usable reply after {retries + 1} attempts: {err}") from err
+    parsed, digest = gateway.ask(next_request, parse, retries)
     return EvolvedRecord(
         id=f"{record.id}:round{round_index}",
         instruction=parsed.final,
@@ -289,7 +275,7 @@ def evolve_record(
         candidate_tags=list(candidates),
         plan=parsed.plan,
         flags=validate_result(parsed, budget, candidates, record.instruction),
-        raw_digest=digests[-1],
+        raw_digest=digest,
     )
 
 

@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import LoadError, ParseError, PreconditionError, RecordError
+from .records import read_json
 
 log = logging.getLogger(__name__)
 
@@ -147,12 +148,10 @@ class MockBackend:
     @classmethod
     def from_script_file(cls, path: str | Path) -> "MockBackend":
         """Load a script file; one that cannot be read or is malformed raises :class:`LoadError`."""
+        entries = read_json(path)
         try:
-            entries = json.loads(Path(path).read_text(encoding="utf-8"))
             pairs = [(entry["prompt_sha256"], entry["response"]) for entry in entries]
-        except OSError as err:
-            raise LoadError(path, 0, f"cannot read mock script: {err}") from err
-        except (ValueError, LookupError, TypeError) as err:
+        except (LookupError, TypeError) as err:
             raise LoadError(path, 0, f"not a JSON list of prompt_sha256/response objects: {err!r}") from err
         backend = cls()
         for key, response in pairs:

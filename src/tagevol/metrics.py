@@ -17,30 +17,27 @@ from .tagging import normalized_tags, tag_record
 DEFAULT_SAMPLE_SIZE = 50
 
 
-class EmptyInput(TagEvolError):
-    """A metric was requested over an empty collection."""
-
-
 class MetricsFailed(TagEvolError):
     """Every sampled record failed tagging; no metrics can be reported."""
 
 
 def difficulty(tag_sets: Sequence[Iterable]) -> float:
-    """Arithmetic mean of tag-set sizes."""
+    """Arithmetic mean of tag-set sizes; no sets is a :class:`PreconditionError`."""
     tag_sets = list(tag_sets)
     if not tag_sets:
-        raise EmptyInput("no tag sets")
+        raise PreconditionError("no tag sets")
     return sum(len(set(s)) for s in tag_sets) / len(tag_sets)
 
 
 def diversity(tag_sets: Sequence[Iterable]) -> int:
     """Cardinality of the union tag set after normalization.
 
-    Elements that normalize to nothing are dropped rather than counted.
+    Elements that normalize to nothing are dropped rather than counted; no
+    sets is a :class:`PreconditionError`.
     """
     tag_sets = list(tag_sets)
     if not tag_sets:
-        raise EmptyInput("no tag sets")
+        raise PreconditionError("no tag sets")
     return len({tag for tags in tag_sets for _, tag in normalized_tags(tags)})
 
 

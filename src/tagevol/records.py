@@ -34,16 +34,6 @@ VALIDATION_FLAGS = (
 )
 
 
-class DuplicateId(TagEvolError):
-    """Two records in one dataset file carry the same id."""
-
-    def __init__(self, path, line: int, record_id: str):
-        self.path = str(path)
-        self.line = line
-        self.record_id = record_id
-        super().__init__(f"{path}:{line}: duplicate record id {record_id!r}")
-
-
 class WriteError(TagEvolError):
     """A dataset or JSON artifact could not be written."""
 
@@ -217,29 +207,30 @@ def load_dataset(path: str | Path) -> list[InstructionRecord]:
     are immortal (see :func:`record_from_json`).
     """
     path = Path(path)
-    if not path.is_file():
-        raise LoadError(path, 0, "file does not exist")
     records: list[InstructionRecord] = []
     seen: set[str] = set()
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise LoadError(path, lineno, f"invalid JSON: {err.msg}") from err
-            if not isinstance(obj, dict):
-                raise LoadError(path, lineno, "expected a JSON object")
-            try:
-                record = record_from_json(obj, default_id=f"{path.name}:{lineno}")
-            except ValueError as err:
-                raise LoadError(path, lineno, str(err)) from err
-            if record.id in seen:
-                raise DuplicateId(path, lineno, record.id)
-            seen.add(record.id)
-            records.append(record)
+    try:
+        with path.open(encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as err:
+                    raise LoadError(path, lineno, f"invalid JSON: {err.msg}") from err
+                if not isinstance(obj, dict):
+                    raise LoadError(path, lineno, "expected a JSON object")
+                try:
+                    record = record_from_json(obj, default_id=f"{path.name}:{lineno}")
+                except ValueError as err:
+                    raise LoadError(path, lineno, str(err)) from err
+                if record.id in seen:
+                    raise LoadError(path, lineno, f"duplicate record id {record.id!r}")
+                seen.add(record.id)
+                records.append(record)
+    except (OSError, UnicodeDecodeError) as err:
+        raise LoadError(path, 0, f"cannot read: {err}") from err
     return records
 
 
@@ -341,6 +332,14 @@ def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
 def json_text(payload) -> str:
     """The one rendering of JSON artifacts and summaries: sorted keys, indented, UTF-8."""
     return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+
+
+def read_json(path: str | Path):
+    """Parse a UTF-8 JSON file, or raise :class:`LoadError`; every whole-file JSON input is read here."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as err:
+        raise LoadError(path, 0, f"cannot read JSON: {err}") from err
 
 
 def write_json(payload, path: str | Path) -> None:

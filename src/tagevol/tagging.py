@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ParseError, TagEvolError
+from .errors import LoadError, ParseError, PreconditionError, TagEvolError
 from .gateway import (
     DEFAULT_MAX_TOKENS,
     DEFAULT_RETRIES,
@@ -28,7 +28,7 @@ from .gateway import (
     Gateway,
     user_message,
 )
-from .records import InstructionRecord, _checked, _is_int, _is_str, _is_str_list, write_json
+from .records import InstructionRecord, _checked, _is_int, _is_str, _is_str_list, read_json, write_json
 
 log = logging.getLogger(__name__)
 
@@ -54,20 +54,12 @@ _SLOT_RE = re.compile(r"\{(instruction|tag_list|budget|word_limit)\}")
 _ASPECT2TAGS_RE = re.compile(r"#\s*aspect\s*2\s*tags\s*#", re.IGNORECASE)
 
 
-class EmptyInstruction(TagEvolError):
-    """A tagging prompt was requested for an empty instruction."""
-
-
 class RejectedTag(TagEvolError):
     """Normalization left nothing usable (e.g. punctuation-only input)."""
 
 
 class BuildFailed(TagEvolError):
     """Tag pool construction produced no usable tags."""
-
-
-class PoolFormatError(TagEvolError):
-    """A pool file is corrupted or has an unsupported format version."""
 
 
 def fill_template(template: str, values: dict[str, str]) -> str:
@@ -80,10 +72,10 @@ def fill_template(template: str, values: dict[str, str]) -> str:
 
 
 def build_tagging_prompt(record: InstructionRecord | str) -> str:
-    """Render the tagging prompt with the instruction substituted verbatim."""
+    """Render the tagging prompt with the instruction substituted verbatim; an empty one is a :class:`PreconditionError`."""
     text = record.instruction if isinstance(record, InstructionRecord) else str(record)
     if not text.strip():
-        raise EmptyInstruction("cannot tag an empty instruction")
+        raise PreconditionError("cannot tag an empty instruction")
     return fill_template(TAGGING_PROMPT, {"instruction": text})
 
 
@@ -322,11 +314,12 @@ def build_tag_pool(
     already retried transient backend failures. A record that still fails
     (a :class:`RecordError`) is recorded in the report, not fatal. Merging
     runs single-threaded over the outcomes in input order, so the pool is
-    deterministic for a deterministic backend.
+    deterministic for a deterministic backend. An empty ``records`` raises
+    :class:`PreconditionError` before any send.
     """
     records = list(records)
     if not records:
-        raise BuildFailed("no records to tag")
+        raise PreconditionError("no records to tag")
     outcomes, failures = gateway.map_in_order(
         lambda record: tag_record(
             record, gateway, retries_per_record, model=model, temperature=temperature, max_tokens=max_tokens
@@ -378,21 +371,20 @@ def load_pool(path: str | Path) -> TagPool:
     """Load a pool saved by :func:`save_pool`; lossless round trip.
 
     Entry fields are checked, never coerced, as :func:`records.record_from_json`
-    checks them; a wrong type raises :class:`PoolFormatError`. So do a
-    repeated ``(aspect, tag)`` entry, a ``model`` that is not a string and a
-    ``built_from`` that is neither an object nor null, none of which
-    :func:`save_pool` writes.
+    checks them; a wrong type raises :class:`LoadError`, as do an unreadable
+    file, a repeated ``(aspect, tag)`` entry, a ``model`` that is not a string
+    and a ``built_from`` that is neither an object nor null (the last three
+    :func:`save_pool` never writes).
     """
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise PoolFormatError(f"{path}: not valid JSON: {err}") from err
+    payload = read_json(path)
     if not isinstance(payload, dict):
-        raise PoolFormatError(f"{path}: expected a JSON object")
+        raise LoadError(path, 0, "expected a JSON object")
     if payload.get("version") != POOL_FORMAT_VERSION:
-        raise PoolFormatError(f"{path}: unsupported pool version {payload.get('version')!r}")
+        raise LoadError(path, 0, f"unsupported pool version {payload.get('version')!r}")
     entries: dict[tuple[str, str], TagEntry] = {}
     try:
+        model = _checked(payload, "model", _is_str, "a string", "")
+        built_from = _checked(payload, "built_from", lambda v: v is None or isinstance(v, dict), "an object or null")
         for item in payload["entries"]:
             if not isinstance(item, dict):
                 raise TypeError(f"entry is not an object: {json.dumps(item, ensure_ascii=False)}")
@@ -407,10 +399,5 @@ def load_pool(path: str | Path) -> TagPool:
                 raise ValueError(f"repeated entry for aspect {entry.aspect!r}, tag {entry.tag!r}")
             entries[(entry.aspect, entry.tag)] = entry
     except (KeyError, TypeError, ValueError) as err:
-        raise PoolFormatError(f"{path}: malformed pool entry: {err}") from err
-    try:
-        model = _checked(payload, "model", _is_str, "a string", "")
-        built_from = _checked(payload, "built_from", lambda v: v is None or isinstance(v, dict), "an object or null")
-    except ValueError as err:
-        raise PoolFormatError(f"{path}: {err}") from err
+        raise LoadError(path, 0, f"malformed pool: {err}") from err
     return TagPool(entries=entries, model=model, built_from=built_from)

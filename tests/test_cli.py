@@ -593,3 +593,75 @@ def test_cache_dir_naming_a_file_exits_2_before_any_send(tmp_path, capsys, sends
     assert sends == []
     assert not pool_path.exists()
     assert not_a_dir.read_text(encoding="utf-8") == "occupied"
+
+
+def test_tag_on_an_empty_seed_file_exits_4_before_any_send(tmp_path, capsys, sends):
+    _, _, script_path = _prepare(tmp_path)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    pool_path = tmp_path / "pool.json"
+    assert _tag(empty, script_path, pool_path) == EXIT_PRECONDITION
+    assert json.loads(capsys.readouterr().err) == {"error": "precondition_error", "message": "no records to tag"}
+    assert sends == []
+    assert not pool_path.exists()
+
+
+def _evolve_argv(seed_path, pool_path, out_dir, script_path, *extra):
+    return ["evolve", str(seed_path), str(pool_path), str(out_dir), "--budgets", "1", "--mock-script", str(script_path), "--no-cache", *extra]
+
+
+def test_evolve_into_an_existing_file_exits_2_before_any_send(tmp_path, capsys, sends):
+    _, seed_path, script_path = _prepare(tmp_path, budgets=(1,))
+    pool_path = tmp_path / "pool.json"
+    assert _tag(seed_path, script_path, pool_path) == EXIT_OK
+    capsys.readouterr()
+    sends.clear()
+    taken = tmp_path / "taken"
+    taken.write_text("occupied", encoding="utf-8")
+    assert main(_evolve_argv(seed_path, pool_path, taken, script_path)) == EXIT_INPUT
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "input_error"
+    assert str(taken) in error["message"]
+    assert sends == []
+    assert taken.read_text(encoding="utf-8") == "occupied"
+
+
+def test_evolve_precondition_removes_every_directory_it_made(tmp_path, capsys, sends):
+    _, seed_path, script_path = _prepare(tmp_path, budgets=(1,))
+    pool_path = tmp_path / "pool.json"
+    assert _tag(seed_path, script_path, pool_path) == EXIT_OK
+    sends.clear()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    argv = _evolve_argv(seed_path, pool_path, kept / "a" / "b", script_path, "--candidate-size", "0")
+    assert main(argv) == EXIT_PRECONDITION
+    assert sends == []
+    assert list(kept.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8", "not_json"])
+@pytest.mark.parametrize("role", ["seed_dataset", "pool", "config", "mock_script"])
+def test_unusable_input_file_exits_2_with_one_json_line(role, kind, tmp_path, capsys, sends):
+    _, seed_path, script_path = _prepare(tmp_path, budgets=(1,))
+    pool_path = tmp_path / "pool.json"
+    assert _tag(seed_path, script_path, pool_path) == EXIT_OK
+    capsys.readouterr()
+    sends.clear()
+    bad = tmp_path / f"bad-{role}"
+    if kind == "directory":
+        bad.mkdir()
+    elif kind == "not_utf8":
+        bad.write_bytes(b'{"id": "\xff\xfe"}\n')
+    elif kind == "not_json":
+        bad.write_text("not json\n", encoding="utf-8")
+    paths = {"seed_dataset": seed_path, "pool": pool_path, "mock_script": script_path, role: bad}
+    extra = ("--config", str(bad)) if role == "config" else ()
+    out_dir = tmp_path / "out"
+    assert main(_evolve_argv(paths["seed_dataset"], paths["pool"], out_dir, paths["mock_script"], *extra)) == EXIT_INPUT
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "input_error"
+    assert str(bad) in error["message"]
+    assert sends == []
+    assert not out_dir.exists()

@@ -7,7 +7,7 @@ import pytest
 from helpers import make_records, tagging_reply
 from tagevol.errors import PreconditionError
 from tagevol.gateway import ChatResponse, Gateway, MockBackend, ResponseCache, prompt_digest, user_message
-from tagevol.metrics import EmptyInput, MetricsFailed, difficulty, diversity, evaluate_dataset
+from tagevol.metrics import MetricsFailed, difficulty, diversity, evaluate_dataset
 from tagevol.tagging import build_tagging_prompt
 
 
@@ -20,7 +20,7 @@ def test_difficulty_of_empty_sets_is_zero():
 
 
 def test_difficulty_requires_input():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(PreconditionError):
         difficulty([])
 
 
@@ -33,7 +33,7 @@ def test_diversity_merges_normalization_variants():
 
 
 def test_diversity_requires_input():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(PreconditionError):
         diversity([])
 
 

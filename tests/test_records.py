@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from tagevol.records import (
     FLAG_TAG_ALREADY_PRESENT,
-    DuplicateId,
     EvolvedRecord,
     InstructionRecord,
     LoadError,
@@ -192,9 +191,10 @@ def test_duplicate_explicit_id_rejected(tmp_path):
             json.dumps({"id": "dup", "instruction": "two"}),
         ],
     )
-    with pytest.raises(DuplicateId) as excinfo:
+    with pytest.raises(LoadError) as excinfo:
         load_dataset(path)
-    assert excinfo.value.record_id == "dup"
+    assert str(excinfo.value) == f"{path}:2: duplicate record id 'dup'"
+    assert (excinfo.value.path, excinfo.value.line) == (str(path), 2)
 
 
 def test_empty_instruction_is_a_load_error(tmp_path):

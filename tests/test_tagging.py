@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 from helpers import SynthesizingBackend, make_pool, make_records, tagging_reply
 from tagevol.evolution import evolve_rounds, sample_candidates
-from tagevol.errors import ParseError
+from tagevol.errors import LoadError, ParseError, PreconditionError
 from tagevol.gateway import ChatResponse, Gateway, MockBackend, ResponseCache, prompt_digest, user_message
 from tagevol.tagging import (
     POOL_FORMAT_VERSION,
     BuildFailed,
-    EmptyInstruction,
-    PoolFormatError,
     RejectedTag,
     TagEntry,
     TagPool,
@@ -41,7 +39,7 @@ def test_prompt_preserves_braces_in_instruction():
 
 
 def test_empty_instruction_rejected():
-    with pytest.raises(EmptyInstruction):
+    with pytest.raises(PreconditionError):
         build_tagging_prompt("   ")
 
 
@@ -299,14 +297,14 @@ def test_load_rejects_corrupted_pool(tmp_path):
     ]
     for content in ["{not json", *(_pool_text(GOOD_POOL_ENTRY, entry) for entry in bad_entries)]:
         path.write_text(content, encoding="utf-8")
-        with pytest.raises(PoolFormatError):
+        with pytest.raises(LoadError):
             load_pool(path)
 
 
 def test_load_rejects_what_save_pool_never_writes(tmp_path):
     path = tmp_path / "pool.json"
     path.write_text(_pool_text(GOOD_POOL_ENTRY, {**GOOD_POOL_ENTRY, "count": 5}), encoding="utf-8")
-    with pytest.raises(PoolFormatError, match="repeated entry"):
+    with pytest.raises(LoadError, match="repeated entry"):
         load_pool(path)
     good = {"version": POOL_FORMAT_VERSION, "model": "m", "entries": [GOOD_POOL_ENTRY]}
     for built_from in (None, {"dataset": "seed.jsonl"}):
@@ -314,14 +312,14 @@ def test_load_rejects_what_save_pool_never_writes(tmp_path):
         assert load_pool(path).built_from == built_from
     for key, value in [("model", 5), ("model", ["m"]), ("built_from", "x"), ("built_from", [1])]:
         path.write_text(json.dumps({**good, key: value}), encoding="utf-8")
-        with pytest.raises(PoolFormatError, match=repr(key)):
+        with pytest.raises(LoadError, match=repr(key)):
             load_pool(path)
 
 
 def test_load_rejects_version_mismatch(tmp_path):
     path = tmp_path / "pool.json"
     path.write_text('{"version": 99, "model": "m", "entries": []}', encoding="utf-8")
-    with pytest.raises(PoolFormatError):
+    with pytest.raises(LoadError):
         load_pool(path)
 
 

@@ -115,8 +115,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if getattr(args, "config", None):
         path = Path(args.config)
-        if not path.is_file():
-            raise LoadError(path, 0, "config file does not exist")
         loaded = read_json(path)
         if not isinstance(loaded, dict):
             raise LoadError(path, 0, "config must be a JSON object")
@@ -156,6 +154,13 @@ def make_gateway(config: RunConfig) -> Gateway:
     )
 
 
+def _check_out_dir(out: str | Path) -> None:
+    """Raise :class:`WriteError` unless ``out``'s directory exists; called before any send."""
+    parent = Path(out).parent
+    if not parent.is_dir():
+        raise WriteError(f"cannot write {out}: {parent} is not a directory")
+
+
 def _emit(payload: dict, out: str | None = None) -> None:
     if out:
         write_json(payload, out)
@@ -164,6 +169,7 @@ def _emit(payload: dict, out: str | None = None) -> None:
 
 def cmd_tag(args: argparse.Namespace, config: RunConfig) -> int:
     records = load_dataset(args.seed_dataset)
+    _check_out_dir(args.out)
     gateway = make_gateway(config)
     model = config.model_for("tag")
     pool, report = build_tag_pool(
@@ -252,8 +258,9 @@ def cmd_evolve(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_respond(args: argparse.Namespace, config: RunConfig) -> int:
     records = load_dataset(args.dataset)
-    gateway = make_gateway(config)
     out_path = Path(args.out) if args.out else Path(args.dataset)
+    _check_out_dir(out_path)
+    gateway = make_gateway(config)
     filled, report = generate_responses(
         records,
         gateway,
@@ -314,6 +321,8 @@ def cmd_leakage(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
     records = load_dataset(args.dataset)
+    if args.out:
+        _check_out_dir(args.out)
     gateway = make_gateway(config)
     report = evaluate_dataset(
         records,

@@ -20,6 +20,7 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -268,7 +269,9 @@ class ResponseCache:
     """Disk-persisted prompt cache; one JSON line per stored response.
 
     Entries are appended under a lock, so concurrent callers see atomic
-    per-entry reads and writes. On load, the last line for a key wins and
+    per-entry reads and writes. The file is opened once, on the first put,
+    and each entry is one write to that descriptor, which is closed when the
+    cache is collected. On load, the last line for a key wins and
     torn or malformed lines are ignored, as is an entry whose ``key``,
     ``content`` or ``finish_reason`` is not a string. A directory that
     cannot be created or read raises :class:`LoadError`.
@@ -283,10 +286,13 @@ class ResponseCache:
             self.directory.mkdir(parents=True, exist_ok=True)
             # Bytes, not text: a torn last line may end inside a UTF-8
             # character, and json.loads then rejects just that line.
-            lines = self.path.read_bytes().splitlines() if self.path.exists() else []
+            data = self.path.read_bytes() if self.path.exists() else b""
         except OSError as err:
             raise LoadError(self.directory, 0, f"cannot use as a response cache directory: {err}") from err
-        for line in lines:
+        # The first append starts a new line, so a torn last line loses no new entry.
+        self._torn = bool(data) and not data.endswith(b"\n")
+        self._fd: int | None = None
+        for line in data.splitlines():
             line = line.strip()
             if not line:
                 continue
@@ -308,16 +314,18 @@ class ResponseCache:
 
     def put(self, key: str, response: ChatResponse) -> None:
         entry = ChatResponse(content=response.content, finish_reason=response.finish_reason)
+        line = json.dumps({"key": key, "content": entry.content, "finish_reason": entry.finish_reason}, ensure_ascii=False)
+        data = f"{line}\n".encode("utf-8")
         with self._lock:
             self._entries[key] = entry
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(
-                    json.dumps(
-                        {"key": key, "content": entry.content, "finish_reason": entry.finish_reason},
-                        ensure_ascii=False,
-                    )
-                )
-                fh.write("\n")
+            if self._fd is None:
+                self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+                weakref.finalize(self, os.close, self._fd)
+                if self._torn:
+                    data = b"\n" + data
+            view = memoryview(data)
+            while view:
+                view = view[os.write(self._fd, view) :]
 
 
 def _identity(response: ChatResponse) -> ChatResponse:
@@ -418,6 +426,13 @@ class Gateway:
         :class:`RecordError`, which adds ``{**label(item), "error": str(err)}``
         to ``failures``. The other items still run; any other exception
         propagates. The default label is ``{"record_id": item.id}``.
+
+        With ``max_in_flight > 1`` it runs up to ``2 * max_in_flight`` worker
+        threads, while the in-flight bound still caps concurrent sends: a
+        worker that sleeps in backoff, renders, parses or writes the cache
+        holds no slot, and another worker's request waits for it. With one
+        slot the items run serially on the calling thread, so that owned
+        work does not overlap with sends.
         """
 
         def run(item):
@@ -430,6 +445,6 @@ class Gateway:
         if self.max_in_flight == 1 or len(items) <= 1:
             results = [run(item) for item in items]
         else:
-            with ThreadPoolExecutor(max_workers=min(self.max_in_flight, len(items))) as pool:
+            with ThreadPoolExecutor(max_workers=min(2 * self.max_in_flight, len(items))) as pool:
                 results = list(pool.map(run, items))
         return [outcome for outcome, _ in results], [failure for _, failure in results if failure is not None]

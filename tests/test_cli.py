@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -665,3 +666,41 @@ def test_unusable_input_file_exits_2_with_one_json_line(role, kind, tmp_path, ca
     assert str(bad) in error["message"]
     assert sends == []
     assert not out_dir.exists()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd on this platform")
+def test_config_read_through_a_pipe(tmp_path, capsys, sends):
+    _, seed_path, script_path = _prepare(tmp_path)
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, json.dumps({"mock_script": str(script_path), "no_cache": True}).encode("utf-8"))
+        os.close(write_fd)
+        pool_path = tmp_path / "pool.json"
+        assert main(["tag", str(seed_path), "--out", str(pool_path), "--config", f"/dev/fd/{read_fd}"]) == EXIT_OK
+    finally:
+        os.close(read_fd)
+    assert json.loads(capsys.readouterr().out)["pool"] == str(pool_path)
+    assert len(sends) == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tag", "{seed}", "--out", "{out}"],
+        ["respond", "{seed}", "--out", "{out}"],
+        ["stats", "{seed}", "--sample-size", "2", "--out", "{out}"],
+    ],
+    ids=["tag", "respond", "stats"],
+)
+def test_out_in_a_missing_directory_exits_2_before_any_send(argv, tmp_path, capsys, sends):
+    _, seed_path, script_path = _prepare(tmp_path)
+    out = tmp_path / "missing" / "out.json"
+    argv = [arg.format(seed=seed_path, out=out) for arg in argv]
+    assert main([*argv, "--mock-script", str(script_path), "--no-cache"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "input_error"
+    assert str(out) in error["message"]
+    assert sends == []
+    assert not out.parent.exists()

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import random
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -155,24 +157,77 @@ class ConcurrencyProbe:
     def __init__(self):
         self.current = 0
         self.peak = 0
+        self.threads = set()
         self._lock = threading.Lock()
 
     def send(self, request):
         with self._lock:
             self.current += 1
             self.peak = max(self.peak, self.current)
+            self.threads.add(threading.get_ident())
         time.sleep(0.01)
         with self._lock:
             self.current -= 1
         return ChatResponse(content="ok")
 
 
-def test_in_flight_bound_is_enforced():
+@pytest.mark.parametrize("n_items", [3, 12], ids=["workers_equal_slots", "workers_outnumber_slots"])
+def test_in_flight_bound_is_enforced(n_items):
     probe = ConcurrencyProbe()
     gateway = Gateway(probe, max_in_flight=3, sleep=lambda _: None)
-    results, failures = gateway.map_in_order(gateway.complete, [_request(f"c{i}") for i in range(12)])
+
+    def fn(request):
+        time.sleep(0.005)  # owned work outside the slot, so idle slots invite more sends
+        return gateway.complete(request)
+
+    results, failures = gateway.map_in_order(fn, [_request(f"c{i}") for i in range(n_items)])
     assert probe.peak <= 3
-    assert [r.content for r in results] == ["ok"] * 12
+    assert len(probe.threads) <= min(6, n_items)
+    assert [r.content for r in results] == ["ok"] * n_items
+    assert failures == []
+
+
+class OverlapProbe:
+    """Fails the first send of ``first``; records when two other sends overlap."""
+
+    def __init__(self, first):
+        self.first = first
+        self.failed_first = False
+        self.current = 0
+        self.peak = 0
+        self.overlapped = threading.Event()
+        self._lock = threading.Lock()
+
+    def send(self, request):
+        with self._lock:
+            if request == self.first and not self.failed_first:
+                self.failed_first = True
+                raise TransientBackendError("503")
+            self.current += 1
+            self.peak = max(self.peak, self.current)
+            if self.current >= 2 and request != self.first:
+                self.overlapped.set()
+        self.overlapped.wait(timeout=1)
+        with self._lock:
+            self.current -= 1
+        return ChatResponse(content="ok")
+
+
+def test_a_worker_in_backoff_leaves_its_slot_to_another_worker():
+    requests = [_request(f"o{i}") for i in range(6)]
+    probe = OverlapProbe(requests[0])
+    waited = []
+
+    def sleep(_):
+        # Backoff ends once two other items are in flight, or after the timeout.
+        waited.append(probe.overlapped.wait(timeout=5))
+
+    gateway = Gateway(probe, max_in_flight=2, sleep=sleep)
+    results, failures = gateway.map_in_order(gateway.complete, requests)
+    assert waited == [True]
+    assert probe.overlapped.is_set()
+    assert probe.peak <= 2
+    assert [r.content for r in results] == ["ok"] * 6
     assert failures == []
 
 
@@ -338,6 +393,58 @@ def test_cache_load_skips_a_last_line_torn_inside_a_utf8_character(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     assert len(cache) == 1
     assert cache.get(key).content == "kept ✓"
+
+
+def test_concurrent_puts_all_persist(tmp_path):
+    cache = ResponseCache(tmp_path / "cache")
+
+    def put_fifty(thread):
+        for i in range(50):
+            cache.put(f"key-{thread}-{i}", ChatResponse(content=f"reply ✓ {thread} {i}"))
+
+    threads = [threading.Thread(target=put_fifty, args=(t,)) for t in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    reloaded = ResponseCache(tmp_path / "cache")
+    assert len(reloaded) == 400
+    assert all(reloaded.get(f"key-{t}-{i}").content == f"reply ✓ {t} {i}" for t in range(8) for i in range(50))
+    assert len((tmp_path / "cache" / "responses.jsonl").read_bytes().splitlines()) == 400
+
+
+def test_cache_opens_its_file_once_however_many_puts(tmp_path, monkeypatch):
+    opened = []
+    real_open = os.open
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", counting_open)
+    for name in ("a", "b"):
+        cache = ResponseCache(tmp_path / name)
+        for i in range(20):
+            cache.put(f"key-{i}", ChatResponse(content=f"reply {i}"))
+    assert [Path(path) for path in opened] == [tmp_path / name / "responses.jsonl" for name in ("a", "b")]
+
+
+def test_put_after_a_torn_last_line_starts_a_new_line(tmp_path):
+    key = request_cache_key(_request("kept prompt"))
+    good_line = json.dumps({"key": key, "content": "kept", "finish_reason": "stop"})
+    torn_line = json.dumps({"key": "torn", "content": "torn"})[:-5]
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "cache" / "responses.jsonl").write_text(f"{good_line}\n{torn_line}", encoding="utf-8")
+    cache = ResponseCache(tmp_path / "cache")
+    assert len(cache) == 1
+    cache.put("new", ChatResponse(content="appended"))
+    cache.put("newer", ChatResponse(content="appended again"))
+    reloaded = ResponseCache(tmp_path / "cache")
+    assert len(reloaded) == 3
+    assert reloaded.get(key).content == "kept"
+    assert reloaded.get("new").content == "appended"
+    assert reloaded.get("newer").content == "appended again"
+    assert reloaded.get("torn") is None
 
 
 @pytest.mark.parametrize(

@@ -154,11 +154,11 @@ def make_gateway(config: RunConfig) -> Gateway:
     )
 
 
-def _check_out_dir(out: str | Path) -> None:
-    """Raise :class:`WriteError` unless ``out``'s directory exists; called before any send."""
-    parent = Path(out).parent
-    if not parent.is_dir():
-        raise WriteError(f"cannot write {out}: {parent} is not a directory")
+def _check_out_path(out: str | Path) -> None:
+    """Raise :class:`WriteError` unless ``out`` can be written as a file; called before any send."""
+    out = Path(out)
+    if not out.parent.is_dir() or out.is_dir():
+        raise WriteError(f"cannot write {out}: it is a directory, or its parent is not one")
 
 
 def _emit(payload: dict, out: str | None = None) -> None:
@@ -169,7 +169,7 @@ def _emit(payload: dict, out: str | None = None) -> None:
 
 def cmd_tag(args: argparse.Namespace, config: RunConfig) -> int:
     records = load_dataset(args.seed_dataset)
-    _check_out_dir(args.out)
+    _check_out_path(args.out)
     gateway = make_gateway(config)
     model = config.model_for("tag")
     pool, report = build_tag_pool(
@@ -259,7 +259,7 @@ def cmd_evolve(args: argparse.Namespace, config: RunConfig) -> int:
 def cmd_respond(args: argparse.Namespace, config: RunConfig) -> int:
     records = load_dataset(args.dataset)
     out_path = Path(args.out) if args.out else Path(args.dataset)
-    _check_out_dir(out_path)
+    _check_out_path(out_path)
     gateway = make_gateway(config)
     filled, report = generate_responses(
         records,
@@ -322,7 +322,7 @@ def cmd_leakage(args: argparse.Namespace, config: RunConfig) -> int:
 def cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
     records = load_dataset(args.dataset)
     if args.out:
-        _check_out_dir(args.out)
+        _check_out_path(args.out)
     gateway = make_gateway(config)
     report = evaluate_dataset(
         records,

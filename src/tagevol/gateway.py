@@ -427,12 +427,10 @@ class Gateway:
         to ``failures``. The other items still run; any other exception
         propagates. The default label is ``{"record_id": item.id}``.
 
-        With ``max_in_flight > 1`` it runs up to ``2 * max_in_flight`` worker
-        threads, while the in-flight bound still caps concurrent sends: a
-        worker that sleeps in backoff, renders, parses or writes the cache
-        holds no slot, and another worker's request waits for it. With one
-        slot the items run serially on the calling thread, so that owned
-        work does not overlap with sends.
+        With ``max_in_flight > 1`` it runs up to ``2 * max_in_flight`` workers, so
+        a slot left by a worker in backoff, parsing or cache writes goes to a
+        waiting request; the bound still caps concurrent sends. One slot runs
+        the items serially, with no owned work overlapping a send.
         """
 
         def run(item):

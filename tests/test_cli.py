@@ -692,9 +692,13 @@ def test_config_read_through_a_pipe(tmp_path, capsys, sends):
     ],
     ids=["tag", "respond", "stats"],
 )
-def test_out_in_a_missing_directory_exits_2_before_any_send(argv, tmp_path, capsys, sends):
+@pytest.mark.parametrize("where", ["in_a_missing_directory", "is_a_directory"])
+def test_unwritable_out_exits_2_before_any_send(where, argv, tmp_path, capsys, sends):
     _, seed_path, script_path = _prepare(tmp_path)
     out = tmp_path / "missing" / "out.json"
+    if where == "is_a_directory":
+        out = tmp_path / "taken"
+        out.mkdir()
     argv = [arg.format(seed=seed_path, out=out) for arg in argv]
     assert main([*argv, "--mock-script", str(script_path), "--no-cache"]) == EXIT_INPUT
     captured = capsys.readouterr()
@@ -703,4 +707,7 @@ def test_out_in_a_missing_directory_exits_2_before_any_send(argv, tmp_path, caps
     assert error["error"] == "input_error"
     assert str(out) in error["message"]
     assert sends == []
-    assert not out.parent.exists()
+    if where == "is_a_directory":
+        assert list(out.iterdir()) == []
+    else:
+        assert not out.parent.exists()

@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import random
+import sys
 import threading
 import time
 from pathlib import Path
@@ -171,20 +172,21 @@ class ConcurrencyProbe:
         return ChatResponse(content="ok")
 
 
-@pytest.mark.parametrize("n_items", [3, 12], ids=["workers_equal_slots", "workers_outnumber_slots"])
-def test_in_flight_bound_is_enforced(n_items):
-    probe = ConcurrencyProbe()
-    gateway = Gateway(probe, max_in_flight=3, sleep=lambda _: None)
+def test_in_flight_bound_is_enforced():
+    # 3 items run on 3 workers; 12 items on 6 workers, which outnumber the 3 slots.
+    for n_items in (3, 12):
+        probe = ConcurrencyProbe()
+        gateway = Gateway(probe, max_in_flight=3, sleep=lambda _: None)
 
-    def fn(request):
-        time.sleep(0.005)  # owned work outside the slot, so idle slots invite more sends
-        return gateway.complete(request)
+        def fn(request):
+            time.sleep(0.005)  # owned work outside the slot, so idle slots invite more sends
+            return gateway.complete(request)
 
-    results, failures = gateway.map_in_order(fn, [_request(f"c{i}") for i in range(n_items)])
-    assert probe.peak <= 3
-    assert len(probe.threads) <= min(6, n_items)
-    assert [r.content for r in results] == ["ok"] * n_items
-    assert failures == []
+        results, failures = gateway.map_in_order(fn, [_request(f"c{i}") for i in range(n_items)])
+        assert probe.peak <= 3
+        assert len(probe.threads) <= min(6, n_items)
+        assert [r.content for r in results] == ["ok"] * n_items
+        assert failures == []
 
 
 class OverlapProbe:
@@ -403,10 +405,16 @@ def test_concurrent_puts_all_persist(tmp_path):
             cache.put(f"key-{thread}-{i}", ChatResponse(content=f"reply ✓ {thread} {i}"))
 
     threads = [threading.Thread(target=put_fifty, args=(t,)) for t in range(8)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
     reloaded = ResponseCache(tmp_path / "cache")
     assert len(reloaded) == 400
     assert all(reloaded.get(f"key-{t}-{i}").content == f"reply ✓ {t} {i}" for t in range(8) for i in range(50))

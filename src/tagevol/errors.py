@@ -15,7 +15,8 @@ class ParseError(RecordError):
     """A model reply does not follow the expected reply format.
 
     ``reason`` is a stable machine-readable code such as ``MissingMarker``,
-    ``BadObject``, ``Empty``, ``MissingStep3`` or ``BadSubset``.
+    ``BadObject``, ``Empty``, ``MissingStep3``, ``BadSubset`` or
+    ``Truncated`` (the reply stopped at ``max_tokens``).
     """
 
     def __init__(self, reason: str, detail: str = ""):

@@ -5,21 +5,22 @@ Two interchangeable backends are provided: :class:`HttpBackend` speaks the
 common chat-completion JSON protocol over HTTP POST, and :class:`MockBackend`
 replays scripted responses keyed by a prompt digest, which makes every
 downstream stage deterministic and testable without a live model.
+
+The HTTP client stack (``urllib.request``, which pulls in ``http.client``,
+``email``, ``ssl`` and ``socket``) loads only when an :class:`HttpBackend` is
+built, so ``merge``, ``leakage`` and mock-script runs never pay for it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import logging
 import math
 import os
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -111,6 +112,21 @@ class ChatResponse:
     prompt_tokens: int | None = None
     completion_tokens: int | None = None
 
+    @property
+    def truncated(self) -> bool:
+        """True when the backend stopped the reply at ``max_tokens``."""
+        return self.finish_reason == "length"
+
+
+def _is_unicode(*texts: str) -> bool:
+    """False if a text holds a lone UTF-16 surrogate, which UTF-8 cannot encode."""
+    try:
+        for text in texts:
+            text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
 
 def prompt_digest(messages: Iterable[ChatMessage]) -> str:
     """Stable sha256 over the rendered message list; keys the mock script."""
@@ -201,6 +217,10 @@ class HttpBackend:
     """
 
     def __init__(self, endpoint: str, api_key: str | None = None, timeout: float = 120.0):
+        # The HTTP client stack loads here, once and on the constructing thread,
+        # not at module top; ``send`` then finds it in ``sys.modules``.
+        import urllib.request  # noqa: F401  (loads http.client and urllib.error too)
+
         try:
             parts = urllib.parse.urlsplit(endpoint)
             parts.port  # raises ValueError for a port that is not a number in range
@@ -217,6 +237,10 @@ class HttpBackend:
         self.timeout = timeout
 
     def send(self, request: ChatRequest) -> ChatResponse:
+        import http.client
+        import urllib.error
+        import urllib.request
+
         body = {
             "model": request.model,
             "messages": [{"role": m.role, "content": m.content} for m in request.messages],
@@ -273,8 +297,11 @@ class ResponseCache:
     and each entry is one write to that descriptor, which is closed when the
     cache is collected. On load, the last line for a key wins and
     torn or malformed lines are ignored, as is an entry whose ``key``,
-    ``content`` or ``finish_reason`` is not a string. A directory that
-    cannot be created or read raises :class:`LoadError`.
+    ``content`` or ``finish_reason`` is not a string, or whose text holds a
+    lone surrogate (which :meth:`Gateway.complete` never accepts). The file
+    is read line by line, so a load holds one line beyond the entries it
+    keeps. A directory that cannot be created or read raises
+    :class:`LoadError`.
     """
 
     def __init__(self, directory: str | Path):
@@ -282,26 +309,29 @@ class ResponseCache:
         self.path = self.directory / "responses.jsonl"
         self._lock = threading.Lock()
         self._entries: dict[str, ChatResponse] = {}
+        self._fd: int | None = None
+        line = b""
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            # Bytes, not text: a torn last line may end inside a UTF-8
-            # character, and json.loads then rejects just that line.
-            data = self.path.read_bytes() if self.path.exists() else b""
+            if self.path.exists():
+                # Bytes, not text: a torn last line may end inside a UTF-8
+                # character, and json.loads then rejects just that line.
+                with self.path.open("rb") as lines:
+                    for line in lines:
+                        self._load_line(line)
         except OSError as err:
             raise LoadError(self.directory, 0, f"cannot use as a response cache directory: {err}") from err
         # The first append starts a new line, so a torn last line loses no new entry.
-        self._torn = bool(data) and not data.endswith(b"\n")
-        self._fd: int | None = None
-        for line in data.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                key, content, finish_reason = obj["key"], obj["content"], obj.get("finish_reason", "stop")
-            except (ValueError, LookupError, TypeError):
-                continue
-            if isinstance(key, str) and isinstance(content, str) and isinstance(finish_reason, str):
+        self._torn = bool(line) and not line.endswith(b"\n")
+
+    def _load_line(self, line: bytes) -> None:
+        try:
+            obj = json.loads(line)
+            key, content, finish_reason = obj["key"], obj["content"], obj.get("finish_reason", "stop")
+        except (ValueError, LookupError, TypeError):
+            return
+        if isinstance(key, str) and isinstance(content, str) and isinstance(finish_reason, str):
+            if _is_unicode(content, finish_reason):
                 self._entries[key] = ChatResponse(content=content, finish_reason=finish_reason)
 
     def __len__(self) -> int:
@@ -376,7 +406,10 @@ class Gateway:
         """Return ``parse`` of the reply to ``request``, from the cache or the backend.
 
         A reply is cached only after ``parse`` accepts it. A cached reply that
-        ``parse`` rejects counts as a miss, so a rerun repairs a poisoned cache.
+        ``parse`` rejects with a :class:`RecordError` counts as a miss, so a
+        rerun repairs a poisoned cache. A reply whose text holds a lone
+        surrogate, which UTF-8 cannot encode, is a
+        :class:`MalformedBackendReply` from any backend and is not retried.
         """
         key = request_cache_key(request)
         if self.cache is not None:
@@ -384,7 +417,7 @@ class Gateway:
             if hit is not None:
                 try:
                     return parse(hit)
-                except ParseError:
+                except RecordError:
                     pass
         last: TransientBackendError | None = None
         for attempt in range(self.retries + 1):
@@ -396,6 +429,8 @@ class Gateway:
             except TransientBackendError as err:
                 last = err
                 continue
+            if not _is_unicode(response.content, response.finish_reason):
+                raise MalformedBackendReply("reply text holds a lone surrogate, which UTF-8 cannot encode")
             parsed = parse(response)
             if self.cache is not None:
                 self.cache.put(key, response)

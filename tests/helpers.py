@@ -62,6 +62,22 @@ _INSTR_RE = re.compile(r"Here is the #Instruction#: (.+)")
 VIOLATION_MODES = ("wrong_size", "foreign", "present", "short_final", "same_final")
 
 
+class ReplySequenceBackend:
+    """Pops one reply per call, regardless of prompt; a text reply finishes with "stop"."""
+
+    def __init__(self, replies):
+        self.replies = [ChatResponse(content=r) if isinstance(r, str) else r for r in replies]
+        self.requests = []
+
+    @property
+    def sends(self) -> int:
+        return len(self.requests)
+
+    def send(self, request) -> ChatResponse:
+        self.requests.append(request)
+        return self.replies.pop(0)
+
+
 class SynthesizingBackend:
     """Fabricates well-formed (or deliberately broken) replies from the prompt.
 

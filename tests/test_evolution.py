@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import logging
 import random
+import re
 import threading
 import time
 
@@ -14,7 +16,14 @@ from fixtures import (
     POLYNOMIAL_CASES,
     render_case_reply,
 )
-from helpers import SynthesizingBackend, evolution_reply, make_pool, make_records, valid_final
+from helpers import (
+    ReplySequenceBackend,
+    SynthesizingBackend,
+    evolution_reply,
+    make_pool,
+    make_records,
+    valid_final,
+)
 from tagevol.errors import ParseError, PreconditionError
 from tagevol.evolution import (
     PRESETS,
@@ -29,12 +38,15 @@ from tagevol.evolution import (
 )
 from tagevol.gateway import (
     AuthError,
+    ChatRequest,
     ChatResponse,
     ExhaustedRetries,
     Gateway,
     MockBackend,
+    ResponseCache,
     TransientBackendError,
     prompt_digest,
+    request_cache_key,
     user_message,
 )
 from tagevol.records import (
@@ -336,6 +348,45 @@ def test_retry_resamples_a_fresh_candidate_batch():
     assert len(backend.batches) == 2
     assert backend.batches[0] != backend.batches[1]
     assert evolved.candidate_tags == backend.batches[1]
+
+
+def _batch_of(request) -> list[str]:
+    return json.loads(re.search(r"Here is the #Tag List#:\n(.+)", request.messages[-1].content).group(1))
+
+
+def test_a_truncated_reply_is_retried_with_a_fresh_batch_and_never_cached(tmp_path):
+    record = make_records(1)[0]
+    pool = make_pool([f"notion {i}" for i in range(12)])
+    first = sample_candidates(pool, 5, random.Random(4))
+    request = ChatRequest(model="mock", messages=(user_message(build_evolution_prompt(record, 2, first)),))
+    subset = first[:2]
+    cut = ChatResponse(content=evolution_reply(subset, valid_final(record.instruction, subset)), finish_reason="length")
+    # A cache written before truncated replies were rejected may hold one; it is a miss.
+    ResponseCache(tmp_path / "cache").put(request_cache_key(request), cut)
+
+    class CutThenWhole:
+        def __init__(self):
+            self.requests = []
+
+        def send(self, request):
+            self.requests.append(request)
+            if len(self.requests) == 1:
+                return cut
+            subset = _batch_of(request)[:2]
+            return ChatResponse(content=evolution_reply(subset, valid_final(record.instruction, subset)))
+
+    backend = CutThenWhole()
+    gateway = Gateway(backend, max_in_flight=1, cache=ResponseCache(tmp_path / "cache"), sleep=lambda _: None)
+    evolved = evolve_record(record, 2, pool, gateway, random.Random(4), cand_size=5, retries=1, model="mock")
+    assert len(backend.requests) == 2
+    assert backend.requests[0] == request
+    assert evolved.candidate_tags == _batch_of(backend.requests[1]) != first
+    lines = (tmp_path / "cache" / "responses.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["finish_reason"] for line in lines] == ["length", "stop"]
+
+    gateway = Gateway(ReplySequenceBackend([cut]), max_in_flight=1, sleep=lambda _: None)
+    with pytest.raises(ParseError, match="^Truncated: "):
+        evolve_record(record, 2, pool, gateway, random.Random(4), cand_size=5, retries=0, model="mock")
 
 
 def test_presets_match_domain_schedules():

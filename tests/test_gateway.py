@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -7,6 +8,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -294,6 +296,39 @@ def test_map_in_order_propagates_errors_that_are_not_record_errors(max_in_flight
         gateway.map_in_order(fn, range(5))
 
 
+class SurrogateBackend:
+    """Answers the prompt "item 3" with a lone surrogate and every other prompt with its echo."""
+
+    def __init__(self):
+        self.sends = 0
+        self._lock = threading.Lock()
+
+    def send(self, request):
+        with self._lock:
+            self.sends += 1
+        prompt = request.messages[0].content
+        return ChatResponse(content="x\ud800y" if prompt == "item 3" else f"echo {prompt}")
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["no_cache", "cache"])
+def test_a_reply_with_a_lone_surrogate_fails_only_its_record(cached, tmp_path):
+    backend = SurrogateBackend()
+    cache = ResponseCache(tmp_path / "cache") if cached else None
+    gateway = Gateway(backend, max_in_flight=2, cache=cache, sleep=lambda _: None)
+
+    def digest(item):
+        reply = gateway.complete(_request(f"item {item.n}"))
+        return hashlib.sha256(reply.content.encode("utf-8")).hexdigest()  # as evolve names its reply
+
+    results, failures = gateway.map_in_order(digest, [Item(n) for n in range(6)])
+    assert [result is None for result in results] == [n == 3 for n in range(6)]
+    assert [failure["record_id"] for failure in failures] == ["item:3"]
+    assert "lone surrogate" in failures[0]["error"]
+    assert backend.sends == 6  # a malformed reply is not retried
+    if cached:
+        assert len(ResponseCache(tmp_path / "cache")) == 5
+
+
 class CountingBackend:
     def __init__(self):
         self.sends = 0
@@ -373,8 +408,18 @@ def test_cached_bad_reply_is_resent_and_replaced(tmp_path):
         '{"key": "k", "content": 5}',
         '{"key": "k", "content": "x", "finish_reason": 7}',
         '{"key": 5, "content": "x"}',
+        '{"key": "k", "content": "x\\ud800y"}',
+        '{"key": "k", "content": "x", "finish_reason": "\\udfff"}',
     ],
-    ids=["no_key", "not_an_object", "content_not_text", "finish_reason_not_text", "key_not_text"],
+    ids=[
+        "no_key",
+        "not_an_object",
+        "content_not_text",
+        "finish_reason_not_text",
+        "key_not_text",
+        "content_lone_surrogate",
+        "finish_reason_lone_surrogate",
+    ],
 )
 def test_cache_load_skips_valid_json_lines_that_are_not_entries(bad_line, tmp_path):
     key = request_cache_key(_request("kept prompt"))
@@ -395,6 +440,23 @@ def test_cache_load_skips_a_last_line_torn_inside_a_utf8_character(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     assert len(cache) == 1
     assert cache.get(key).content == "kept ✓"
+
+
+def test_cache_load_peaks_below_twice_the_file_size(tmp_path):
+    cache = ResponseCache(tmp_path / "cache")
+    for i in range(2000):
+        key = hashlib.sha256(str(i).encode("ascii")).hexdigest()
+        cache.put(key, ChatResponse(content=f"reply {i}: " + "lorem ipsum dolor " * 60))
+    del cache
+    size = (tmp_path / "cache" / "responses.jsonl").stat().st_size
+    tracemalloc.start()
+    try:
+        loaded = ResponseCache(tmp_path / "cache")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == 2000
+    assert peak < 2 * size
 
 
 def test_concurrent_puts_all_persist(tmp_path):

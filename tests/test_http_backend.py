@@ -283,14 +283,73 @@ def test_a_followed_redirect_carries_no_credential(status, server):
     assert "Authorization" not in ScriptedHandler.seen_headers[0]
 
 
-def test_package_imports_and_runs_without_requests():
+def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_package_imports_and_runs_without_requests():
     code = (
         "import sys; sys.modules['requests'] = None\n"
         "import tagevol.cli\n"
         "tagevol.cli.main(['--help'])\n"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    result = _fresh_interpreter(code)
     assert result.returncode == 0, result.stderr
     assert "usage:" in result.stdout
+
+
+HTTP_CLIENT_STACK = ("http.client", "urllib.request", "urllib.error", "ssl", "email", "socket")
+
+
+def test_importing_the_cli_leaves_the_http_client_stack_unloaded():
+    code = f"import sys, tagevol.cli; print(sorted(set({HTTP_CLIENT_STACK!r}) & set(sys.modules)))"
+    result = _fresh_interpreter(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+class SlowEchoHandler(BaseHTTPRequestHandler):
+    """Answers each POST with its prompt after a pause; records the peak number of requests in progress."""
+
+    in_progress = peak = 0
+    lock = threading.Lock()
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        cls = type(self)
+        with cls.lock:
+            cls.in_progress += 1
+            cls.peak = max(cls.peak, cls.in_progress)
+        time.sleep(0.2)
+        with cls.lock:
+            cls.in_progress -= 1
+        data = json.dumps(_reply(f"echo {body['messages'][0]['content']}")).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_a_backend_built_in_a_fresh_interpreter_serves_concurrent_workers():
+    SlowEchoHandler.in_progress = SlowEchoHandler.peak = 0
+    with _serving(SlowEchoHandler) as url:
+        code = (
+            "import json, sys\n"
+            "from tagevol.gateway import ChatRequest, Gateway, HttpBackend, user_message\n"
+            "assert 'urllib.request' not in sys.modules\n"
+            f"gateway = Gateway(HttpBackend({url!r}), max_in_flight=4)\n"
+            "requests = [ChatRequest(model='m', messages=(user_message(f'call {i}'),)) for i in range(8)]\n"
+            "outcomes, failures = gateway.map_in_order(\n"
+            "    lambda request: gateway.complete(request).content, requests, label=lambda request: {})\n"
+            "print(json.dumps([outcomes, failures]))\n"
+        )
+        result = _fresh_interpreter(code)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [[f"echo call {i}" for i in range(8)], []]
+    assert 2 <= SlowEchoHandler.peak <= 4

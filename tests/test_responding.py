@@ -1,11 +1,24 @@
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
 
-from helpers import make_records
-from tagevol.gateway import AuthError, Gateway, MockBackend, TransientBackendError, prompt_digest, user_message
+from helpers import ReplySequenceBackend, make_records
+from tagevol.gateway import (
+    RESPONSE_TEMPERATURE,
+    AuthError,
+    ChatRequest,
+    ChatResponse,
+    Gateway,
+    MockBackend,
+    ResponseCache,
+    TransientBackendError,
+    prompt_digest,
+    request_cache_key,
+    user_message,
+)
 from tagevol.records import EvolvedRecord
 from tagevol.responding import generate_responses
 
@@ -74,6 +87,25 @@ def test_backend_failures_get_the_gateway_retries_only(error, sends):
     assert backend.sends == sends
     assert filled[0].response is None
     assert [f["record_id"] for f in report.failures] == [records[0].id]
+
+
+def test_a_truncated_reply_fails_its_record_after_one_send_and_is_never_cached(tmp_path):
+    records = make_records(3)
+    cut = ChatResponse(content="an answer cut o", finish_reason="length")
+    # A cache written before truncated replies were rejected may hold one; it is a miss.
+    old = ChatRequest(
+        model="mock", messages=(user_message(records[2].instruction),), temperature=RESPONSE_TEMPERATURE, max_tokens=64
+    )
+    ResponseCache(tmp_path / "cache").put(request_cache_key(old), cut)
+    backend = ReplySequenceBackend([cut, "whole answer", "another whole answer"])
+    gateway = Gateway(backend, max_in_flight=1, cache=ResponseCache(tmp_path / "cache"), sleep=lambda _: None)
+    filled, report = generate_responses(records, gateway, retries=3, model="mock", max_tokens=64)
+    assert [r.response for r in filled] == [None, "whole answer", "another whole answer"]
+    assert backend.sends == 3
+    assert backend.requests[2] == old
+    assert report.failures == [{"record_id": records[0].id, "error": "Truncated: the reply stopped at max_tokens (64)"}]
+    lines = (tmp_path / "cache" / "responses.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["finish_reason"] for line in lines] == ["length", "stop", "stop"]
 
 
 def test_provenance_fields_are_untouched():

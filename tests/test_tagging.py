@@ -7,10 +7,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import SynthesizingBackend, make_pool, make_records, tagging_reply
+from helpers import ReplySequenceBackend, SynthesizingBackend, make_pool, make_records, tagging_reply
 from tagevol.evolution import evolve_rounds, sample_candidates
 from tagevol.errors import LoadError, ParseError, PreconditionError
-from tagevol.gateway import ChatResponse, Gateway, MockBackend, ResponseCache, prompt_digest, user_message
+from tagevol.gateway import (
+    ChatRequest,
+    ChatResponse,
+    Gateway,
+    MockBackend,
+    ResponseCache,
+    prompt_digest,
+    request_cache_key,
+    user_message,
+)
 from tagevol.tagging import (
     POOL_FORMAT_VERSION,
     BuildFailed,
@@ -23,6 +32,7 @@ from tagevol.tagging import (
     normalize_tag,
     parse_tagging_response,
     save_pool,
+    tag_record,
 )
 
 
@@ -187,18 +197,6 @@ def test_all_records_failing_is_build_failed():
         build_tag_pool(records, gateway, retries_per_record=0, model="mock")
 
 
-class ReplySequenceBackend:
-    """Pops one reply per call, regardless of prompt."""
-
-    def __init__(self, replies):
-        self.replies = list(replies)
-        self.sends = 0
-
-    def send(self, request):
-        self.sends += 1
-        return ChatResponse(content=self.replies.pop(0))
-
-
 @pytest.mark.parametrize("cached", [False, True], ids=["no_cache", "cache"])
 def test_parse_retries_reuse_identical_prompt(cached, tmp_path):
     records = make_records(1)
@@ -209,6 +207,26 @@ def test_parse_retries_reuse_identical_prompt(cached, tmp_path):
     assert backend.sends == 2
     assert pool.distinct_tag_count == 1
     assert report.failures == []
+
+
+def test_a_truncated_reply_is_retried_and_never_cached(tmp_path):
+    record = make_records(1)[0]
+    request = ChatRequest(model="mock", messages=(user_message(build_tagging_prompt(record)),), max_tokens=64)
+    cut = ChatResponse(content=tagging_reply({"Skill": ["loops"]}), finish_reason="length")
+    # A cache written before truncated replies were rejected may hold one; it is a miss.
+    ResponseCache(tmp_path / "cache").put(request_cache_key(request), cut)
+    backend = ReplySequenceBackend([cut, tagging_reply({"Skill": ["recursion"]})])
+    gateway = Gateway(backend, max_in_flight=1, cache=ResponseCache(tmp_path / "cache"), sleep=lambda _: None)
+    tags, _ = tag_record(record, gateway, 1, model="mock", temperature=request.temperature, max_tokens=64)
+    assert tags == {"Skill": ["recursion"]}
+    assert backend.requests == [request, request]
+    lines = (tmp_path / "cache" / "responses.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["finish_reason"] for line in lines] == ["length", "stop"]
+
+    gateway = Gateway(ReplySequenceBackend([cut]), max_in_flight=1, sleep=lambda _: None)
+    with pytest.raises(ParseError, match="^Truncated: ") as caught:
+        tag_record(record, gateway, 0, model="mock", temperature=request.temperature, max_tokens=64)
+    assert caught.value.reason == "Truncated"
 
 
 def test_pool_build_is_order_independent():

@@ -17,7 +17,7 @@ import typing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .errors import PreconditionError, TagEvolError
+from .errors import PreconditionError, StageFailed, TagEvolError
 from .evolution import DEFAULT_CANDIDATE_SIZE, PRESETS, evolve_rounds
 from .gateway import (
     DEFAULT_MAX_IN_FLIGHT,
@@ -32,10 +32,11 @@ from .gateway import (
     ResponseCache,
 )
 from .leakage import count_matches
-from .metrics import DEFAULT_SAMPLE_SIZE, MetricsFailed, evaluate_dataset
+from .metrics import DEFAULT_SAMPLE_SIZE, evaluate_dataset
 from .records import (
     LoadError,
     WriteError,
+    _is_unicode,
     build_manifest,
     json_text,
     load_dataset,
@@ -47,7 +48,7 @@ from .records import (
     write_manifest,
 )
 from .responding import generate_responses
-from .tagging import BuildFailed, build_tag_pool, load_pool, save_pool
+from .tagging import build_tag_pool, load_pool, save_pool
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -79,13 +80,13 @@ class RunConfig:
     no_cache: bool = False
     mock_script: str | None = None
 
-    def model_for(self, stage: str) -> str:
-        model = self.models.get(stage) or self.model
-        if model:
-            return model
-        if self.mock_script:
-            return "mock"
-        raise PreconditionError("no model configured; pass --model or set it in the config file")
+    def decoding(self, stage: str) -> dict:
+        """The ``model``, ``temperature`` and ``max_tokens`` keywords of ``stage``'s library call."""
+        model = self.models.get(stage) or self.model or ("mock" if self.mock_script else None)
+        if not model:
+            raise PreconditionError("no model configured; pass --model or set it in the config file")
+        temperature = self.response_temperature if stage == "respond" else self.temperature
+        return {"model": model, "temperature": temperature, "max_tokens": self.max_tokens}
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -133,6 +134,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     # --budgets is weighed against --preset in cmd_evolve instead.
     for key in _CONFIG_KEYS - {"budgets"}:
         flag_value = getattr(args, key, None)
+        if isinstance(flag_value, str) and not _is_unicode(flag_value):
+            raise LoadError("command line", 0, f"--{key.replace('_', '-')} holds a lone UTF-16 surrogate, which UTF-8 cannot encode")
         if flag_value is not None:
             values[key] = flag_value
     return RunConfig(**values)
@@ -171,15 +174,7 @@ def cmd_tag(args: argparse.Namespace, config: RunConfig) -> int:
     records = load_dataset(args.seed_dataset)
     _check_out_path(args.out)
     gateway = make_gateway(config)
-    model = config.model_for("tag")
-    pool, report = build_tag_pool(
-        records,
-        gateway,
-        retries_per_record=config.retries,
-        model=model,
-        temperature=config.temperature,
-        max_tokens=config.max_tokens,
-    )
+    pool, report = build_tag_pool(records, gateway, retries_per_record=config.retries, **config.decoding("tag"))
     pool.built_from = {"path": str(args.seed_dataset), "records": len(records)}
     save_pool(pool, args.out)
     write_json(report.to_json(), Path(args.out).with_suffix(".report.json"))
@@ -202,7 +197,7 @@ def cmd_evolve(args: argparse.Namespace, config: RunConfig) -> int:
     seeds = load_dataset(args.seed_dataset)
     pool = load_pool(args.pool)
     gateway = make_gateway(config)
-    model = config.model_for("evolve")
+    decoding = config.decoding("evolve")
     # Made before any send, so an unusable out_dir costs no call; a failed precondition undoes it.
     out_dir = Path(args.out_dir)
     made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
@@ -219,16 +214,14 @@ def cmd_evolve(args: argparse.Namespace, config: RunConfig) -> int:
             config.seed,
             config.candidate_size,
             config.retries,
-            model=model,
-            temperature=config.temperature,
-            max_tokens=config.max_tokens,
+            **decoding,
         )
     except PreconditionError:
         for path in made:
             path.rmdir()
         raise
     parameters = {
-        "model": model,
+        "model": decoding["model"],
         "rng_seed": config.seed,
         "candidate_size": config.candidate_size,
         "budgets": budgets,
@@ -251,8 +244,7 @@ def cmd_evolve(args: argparse.Namespace, config: RunConfig) -> int:
     write_json(result.failures, out_dir / "failures.json")
     _emit({"rounds": written, "failures": len(result.failures)})
     if seeds and any(not round_records for round_records in result.rounds):
-        _stderr_json("backend_error", "every record of at least one round failed")
-        return EXIT_BACKEND
+        raise StageFailed("every record of at least one round failed")
     return EXIT_OK
 
 
@@ -261,15 +253,7 @@ def cmd_respond(args: argparse.Namespace, config: RunConfig) -> int:
     out_path = Path(args.out) if args.out else Path(args.dataset)
     _check_out_path(out_path)
     gateway = make_gateway(config)
-    filled, report = generate_responses(
-        records,
-        gateway,
-        config.retries,
-        model=config.model_for("respond"),
-        overwrite=args.overwrite,
-        temperature=config.response_temperature,
-        max_tokens=config.max_tokens,
-    )
+    filled, report = generate_responses(records, gateway, overwrite=args.overwrite, **config.decoding("respond"))
     write_dataset(filled, out_path)
     write_json(report.failures, out_path.with_suffix(".failures.json"))
     _emit(
@@ -281,8 +265,7 @@ def cmd_respond(args: argparse.Namespace, config: RunConfig) -> int:
         }
     )
     if report.failures and not report.filled:
-        _stderr_json("backend_error", "every record sent to the backend failed")
-        return EXIT_BACKEND
+        raise StageFailed("every record sent to the backend failed")
     return EXIT_OK
 
 
@@ -330,9 +313,7 @@ def cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
         sample_size=args.sample_size,
         rng=random.Random(config.seed),
         retries=config.retries,
-        model=config.model_for("stats"),
-        temperature=config.temperature,
-        max_tokens=config.max_tokens,
+        **config.decoding("stats"),
     )
     _emit(report.to_json(), out=args.out)
     return EXIT_OK
@@ -425,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as err:
         _stderr_json("precondition_error", str(err))
         return EXIT_PRECONDITION
-    except (BackendError, BuildFailed, MetricsFailed) as err:
+    except (BackendError, StageFailed) as err:
         _stderr_json("backend_error", str(err))
         return EXIT_BACKEND
     except TagEvolError as err:

@@ -24,6 +24,10 @@ class ParseError(RecordError):
         super().__init__(f"{reason}: {detail}" if detail else reason)
 
 
+class StageFailed(TagEvolError):
+    """A stage produced no usable output, such as a tag pool or a round; the CLI exits 3."""
+
+
 class PreconditionError(TagEvolError, ValueError):
     """An operation was invoked with inputs that violate its preconditions."""
 

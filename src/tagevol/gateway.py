@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import LoadError, ParseError, PreconditionError, RecordError
-from .records import read_json
+from .records import _is_unicode, read_json
 
 log = logging.getLogger(__name__)
 
@@ -68,12 +68,7 @@ class UnscriptedPrompt(BackendError):
 
 
 class ExhaustedRetries(BackendError):
-    """All retry attempts failed; ``last_error`` holds the final failure."""
-
-    def __init__(self, last_error: BackendError, attempts: int):
-        self.last_error = last_error
-        self.attempts = attempts
-        super().__init__(f"gave up after {attempts} attempts: {last_error}")
+    """All retry attempts failed; the final failure is its ``__cause__``."""
 
 
 @dataclass(frozen=True)
@@ -116,16 +111,6 @@ class ChatResponse:
     def truncated(self) -> bool:
         """True when the backend stopped the reply at ``max_tokens``."""
         return self.finish_reason == "length"
-
-
-def _is_unicode(*texts: str) -> bool:
-    """False if a text holds a lone UTF-16 surrogate, which UTF-8 cannot encode."""
-    try:
-        for text in texts:
-            text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
 
 
 def prompt_digest(messages: Iterable[ChatMessage]) -> str:
@@ -334,10 +319,6 @@ class ResponseCache:
             if _is_unicode(content, finish_reason):
                 self._entries[key] = ChatResponse(content=content, finish_reason=finish_reason)
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
     def get(self, key: str) -> ChatResponse | None:
         with self._lock:
             return self._entries.get(key)
@@ -435,7 +416,7 @@ class Gateway:
             if self.cache is not None:
                 self.cache.put(key, response)
             return parsed
-        raise ExhaustedRetries(last, attempts=self.retries + 1)
+        raise ExhaustedRetries(f"gave up after {self.retries + 1} attempts: {last}") from last
 
     def ask(self, next_request: Callable[[], ChatRequest], parse: Callable[[ChatResponse], T], retries: int) -> T:
         """Ask for at most ``retries + 1`` fresh replies until one parses.

@@ -9,16 +9,12 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import PreconditionError, TagEvolError
+from .errors import PreconditionError, StageFailed
 from .gateway import DEFAULT_MAX_TOKENS, DEFAULT_RETRIES, DEFAULT_TEMPERATURE, Gateway
 from .records import InstructionRecord
 from .tagging import normalized_tags, tag_record
 
 DEFAULT_SAMPLE_SIZE = 50
-
-
-class MetricsFailed(TagEvolError):
-    """Every sampled record failed tagging; no metrics can be reported."""
 
 
 def difficulty(tag_sets: Sequence[Iterable]) -> float:
@@ -80,7 +76,7 @@ def evaluate_dataset(
 
     The per-record tag set flattens aspects and collapses duplicates. Samples
     whose tagging keeps failing after ``retries`` extra attempts are dropped
-    and recorded; if everything drops, :class:`MetricsFailed` is raised.
+    and recorded; if everything drops, :class:`StageFailed` is raised.
     """
     records = list(records)
     if sample_size < 1:
@@ -102,7 +98,7 @@ def evaluate_dataset(
         if outcome is not None
     ]
     if not tag_sets:
-        raise MetricsFailed("all sampled records failed tagging")
+        raise StageFailed("all sampled records failed tagging")
     return MetricsReport(
         difficulty=difficulty(tag_sets),
         diversity=diversity(tag_sets),

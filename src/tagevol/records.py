@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -87,6 +87,22 @@ class EvolvedRecord(InstructionRecord):
 
 
 _EVOLVED_MARKER_KEYS = ("parent_id", "round", "budget")
+
+
+def _is_unicode(*texts: str) -> bool:
+    """False if a text holds a lone UTF-16 surrogate, which UTF-8 cannot encode."""
+    try:
+        for text in texts:
+            text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _reject_surrogates(path, line: int, text: str, value) -> None:
+    """Raise :class:`LoadError` if ``value``, parsed from JSON ``text``, holds a lone surrogate; only a ``\\u`` escape can carry one."""
+    if "\\u" in text and not _is_unicode(json.dumps(value, ensure_ascii=False)):
+        raise LoadError(path, line, "text holds a lone UTF-16 surrogate, which UTF-8 cannot encode")
 
 
 def _is_int(value) -> bool:
@@ -219,6 +235,7 @@ def load_dataset(path: str | Path) -> list[InstructionRecord]:
                     obj = json.loads(line)
                 except json.JSONDecodeError as err:
                     raise LoadError(path, lineno, f"invalid JSON: {err.msg}") from err
+                _reject_surrogates(path, lineno, line, obj)
                 if not isinstance(obj, dict):
                     raise LoadError(path, lineno, "expected a JSON object")
                 try:
@@ -277,27 +294,13 @@ def merge_rounds(
     return merged
 
 
-@dataclass(frozen=True)
-class DatasetManifest:
-    """Provenance sidecar for a written dataset file."""
-
-    name: str
-    sources: list[str]
-    record_count: int
-    rounds: list[dict]
-    parameters: dict
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-
 def build_manifest(
     name: str,
     sources: Sequence[str],
     records: Sequence[InstructionRecord],
     parameters: dict,
-) -> DatasetManifest:
-    """Summarize a record list into a manifest with a per-round breakdown."""
+) -> dict:
+    """Summarize a record list into a manifest with a per-round breakdown, as the JSON object written."""
     buckets: dict[tuple, int] = {}
     for record in records:
         if isinstance(record, EvolvedRecord):
@@ -311,13 +314,13 @@ def build_manifest(
             buckets.items(), key=lambda item: (item[0][0] is not None, item[0][0] or 0, item[0][1] or 0)
         )
     ]
-    return DatasetManifest(
-        name=name,
-        sources=[str(s) for s in sources],
-        record_count=len(records),
-        rounds=rounds,
-        parameters=dict(parameters),
-    )
+    return {
+        "name": name,
+        "sources": [str(s) for s in sources],
+        "record_count": len(records),
+        "rounds": rounds,
+        "parameters": dict(parameters),
+    }
 
 
 def manifest_path(dataset_path: str | Path) -> Path:
@@ -325,8 +328,8 @@ def manifest_path(dataset_path: str | Path) -> Path:
     return Path(dataset_path).with_suffix(".manifest.json")
 
 
-def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
-    write_json(manifest.to_json(), path)
+def write_manifest(manifest: dict, path: str | Path) -> None:
+    write_json(manifest, path)
 
 
 def json_text(payload) -> str:
@@ -335,11 +338,14 @@ def json_text(payload) -> str:
 
 
 def read_json(path: str | Path):
-    """Parse a UTF-8 JSON file, or raise :class:`LoadError`; every whole-file JSON input is read here."""
+    """Parse a UTF-8 JSON file, or raise :class:`LoadError` (also for a lone surrogate); every whole-file JSON input is read here."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        value = json.loads(text)
     except (OSError, ValueError) as err:
         raise LoadError(path, 0, f"cannot read JSON: {err}") from err
+    _reject_surrogates(path, 0, text, value)
+    return value
 
 
 def write_json(payload, path: str | Path) -> None:

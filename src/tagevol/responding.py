@@ -45,8 +45,8 @@ def generate_responses(
 
     Instruction text and provenance fields are never touched. Without
     ``overwrite`` the operation is idempotent: records with responses pass
-    through unchanged. Any reply counts as a response, so ``retries`` (the
-    stage's parse-retry allowance) never adds a send: each prompt gets the
+    through unchanged. Any reply counts as a response, so there is no parse
+    retry, and ``retries`` is accepted and unused: each prompt gets the
     gateway's transient retries only, and any other backend failure, such as
     a rejected credential, fails the record after one send. So does a reply
     cut off at ``max_tokens``: it is not stored as the response, and a rerun
@@ -66,7 +66,7 @@ def generate_responses(
         request = ChatRequest(
             model=model, messages=(user_message(record.instruction),), temperature=temperature, max_tokens=max_tokens
         )
-        return replace(record, response=gateway.ask(lambda: request, answer, retries))
+        return replace(record, response=gateway.complete(request, answer))
 
     outcomes, failures = gateway.map_in_order(respond, records)
     out = [record if outcome is None else outcome for record, outcome in zip(records, outcomes)]

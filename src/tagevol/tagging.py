@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import LoadError, ParseError, PreconditionError, TagEvolError
+from .errors import LoadError, ParseError, PreconditionError, StageFailed, TagEvolError
 from .gateway import (
     DEFAULT_MAX_TOKENS,
     DEFAULT_RETRIES,
@@ -56,10 +56,6 @@ _ASPECT2TAGS_RE = re.compile(r"#\s*aspect\s*2\s*tags\s*#", re.IGNORECASE)
 
 class RejectedTag(TagEvolError):
     """Normalization left nothing usable (e.g. punctuation-only input)."""
-
-
-class BuildFailed(TagEvolError):
-    """Tag pool construction produced no usable tags."""
 
 
 def fill_template(template: str, values: dict[str, str]) -> str:
@@ -318,7 +314,8 @@ def build_tag_pool(
     (a :class:`RecordError`) is recorded in the report, not fatal. Merging
     runs single-threaded over the outcomes in input order, so the pool is
     deterministic for a deterministic backend. An empty ``records`` raises
-    :class:`PreconditionError` before any send.
+    :class:`PreconditionError` before any send; no usable tag at all raises
+    :class:`StageFailed`.
     """
     records = list(records)
     if not records:
@@ -343,9 +340,7 @@ def build_tag_pool(
             for tag_raw, tag in normalized_tags(parsed[aspect_raw]):
                 pool.add(aspect, tag, surface=tag_raw, source=record.id)
     if not pool.entries:
-        raise BuildFailed(
-            f"no usable tags from {len(records)} records ({len(report.failures)} record failures)"
-        )
+        raise StageFailed(f"no usable tags from {len(records)} records ({len(report.failures)} record failures)")
     return pool, report
 
 

@@ -711,3 +711,71 @@ def test_unwritable_out_exits_2_before_any_send(where, argv, tmp_path, capsys, s
         assert list(out.iterdir()) == []
     else:
         assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["tag", "evolve", "respond", "stats"])
+def test_every_record_failing_exits_3_with_one_json_line(command, tmp_path, capsys):
+    records, seed_path, script_path = _prepare(tmp_path, budgets=(1,))
+    pool_path = tmp_path / "pool.json"
+    assert _tag(seed_path, script_path, pool_path) == EXIT_OK
+    capsys.readouterr()
+    empty = tmp_path / "empty.json"
+    write_script(empty, [])
+    out = tmp_path / "out"
+    argv = {
+        "tag": ["tag", str(seed_path), "--out", str(out)],
+        "evolve": ["evolve", str(seed_path), str(pool_path), str(out), "--budgets", "1"],
+        "respond": ["respond", str(seed_path), "--out", str(out)],
+        "stats": ["stats", str(seed_path), "--sample-size", "2"],
+    }[command]
+    assert main([*argv, "--mock-script", str(empty), "--no-cache"]) == EXIT_BACKEND
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "backend_error"
+    if command == "evolve":
+        assert json.loads(captured.out)["failures"] == len(records)
+        assert load_dataset(out / "round1_budget1.jsonl") == []
+        assert len(json.loads((out / "failures.json").read_text(encoding="utf-8"))) == len(records)
+    elif command == "respond":
+        assert json.loads(captured.out)["failures"] == len(records)
+        assert load_dataset(out) == records
+    else:
+        assert captured.out == ""
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["tag_seed", "respond_seed", "evolve_pool_tag", "config_model", "model_flag"])
+def test_a_lone_surrogate_in_any_input_exits_2_before_any_send(case, tmp_path, capsys, sends):
+    _, seed_path, script_path = _prepare(tmp_path, budgets=(1,))
+    pool_path = tmp_path / "pool.json"
+    assert _tag(seed_path, script_path, pool_path) == EXIT_OK
+    capsys.readouterr()
+    sends.clear()
+    bad_seed = tmp_path / "bad.jsonl"
+    bad_seed.write_text('{"instruction": "explain x\\ud800y please in words"}\n', encoding="utf-8")
+    if case == "evolve_pool_tag":
+        pool = json.loads(pool_path.read_text(encoding="utf-8"))
+        pool["entries"][0]["tag"] = "\ud800"
+        pool_path.write_text(json.dumps(pool), encoding="utf-8")
+    config_path = tmp_path / "config.json"
+    config_path.write_text('{"model": "m\\ud800"}', encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "tag_seed": ["tag", str(bad_seed), "--out", str(out)],
+        "respond_seed": ["respond", str(bad_seed), "--out", str(out)],
+        "evolve_pool_tag": ["evolve", str(seed_path), str(pool_path), str(out), "--budgets", "1"],
+        "config_model": ["tag", str(seed_path), "--out", str(out), "--config", str(config_path)],
+        # Python decodes a non-UTF-8 argv byte such as --model $'m\xff' to a lone surrogate.
+        "model_flag": ["tag", str(seed_path), "--out", str(out), "--model", "m\udcff"],
+    }[case]
+    assert main([*argv, "--mock-script", str(script_path), "--no-cache"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "input_error"
+    assert "lone UTF-16 surrogate" in error["message"]
+    assert captured.out == ""
+    assert sends == []
+    assert not out.exists()

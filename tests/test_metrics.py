@@ -7,7 +7,8 @@ import pytest
 from helpers import make_records, tagging_reply
 from tagevol.errors import PreconditionError
 from tagevol.gateway import ChatResponse, Gateway, MockBackend, ResponseCache, prompt_digest, user_message
-from tagevol.metrics import MetricsFailed, difficulty, diversity, evaluate_dataset
+from tagevol.errors import StageFailed
+from tagevol.metrics import difficulty, diversity, evaluate_dataset
 from tagevol.tagging import build_tagging_prompt
 
 
@@ -147,7 +148,7 @@ def test_all_samples_failing_raises():
         prompt = build_tagging_prompt(record)
         backend.register(prompt_digest([user_message(prompt)]), "still no markers")
     gateway = Gateway(backend, sleep=lambda _: None)
-    with pytest.raises(MetricsFailed):
+    with pytest.raises(StageFailed):
         evaluate_dataset(records, gateway, sample_size=3, rng=random.Random(0), retries=0, model="judge")
 
 

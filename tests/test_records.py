@@ -16,6 +16,7 @@ from tagevol.records import (
     build_manifest,
     load_dataset,
     merge_rounds,
+    read_json,
     record_to_json,
     write_dataset,
     write_json,
@@ -53,6 +54,26 @@ def test_load_error_carries_line_number(tmp_path):
     with pytest.raises(LoadError) as excinfo:
         load_dataset(path)
     assert excinfo.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{"instruction": "x\ud800y"}, {"instruction": "ok", "meta": {"\udfff": 1}}, {"instruction": "ok", "id": "\udcff"}],
+    ids=["instruction", "meta_key", "id"],
+)
+def test_a_lone_surrogate_is_a_load_error_naming_its_line(obj, tmp_path):
+    # An escaped pair is one character, and an escaped backslash before "u" is no escape.
+    good = r'{"instruction": "fine \u00e9 and \ud83d\ude00 in C:\\users"}'
+    path = tmp_path / "seed.jsonl"
+    _write_lines(path, [good, json.dumps(obj)])
+    with pytest.raises(LoadError, match="lone UTF-16 surrogate") as excinfo:
+        load_dataset(path)
+    assert excinfo.value.line == 2
+    _write_lines(path, [good])
+    assert load_dataset(path)[0].instruction == "fine \u00e9 and \U0001f600 in C:\\users"
+    path.write_text(json.dumps([obj]), encoding="utf-8")
+    with pytest.raises(LoadError, match="lone UTF-16 surrogate"):
+        read_json(path)
 
 
 @pytest.mark.parametrize(
@@ -336,9 +357,9 @@ def test_manifest_breakdown_covers_all_records():
         candidate_tags=["a", "b", "c", "d"],
     )
     manifest = build_manifest("demo", ["seed.jsonl"], [seed, evolved, evolved], {"rng_seed": 7})
-    assert manifest.record_count == 3
-    assert sum(r["count"] for r in manifest.rounds) == 3
-    by_round = {r["round"]: r for r in manifest.rounds}
+    assert manifest["record_count"] == 3
+    assert sum(r["count"] for r in manifest["rounds"]) == 3
+    by_round = {r["round"]: r for r in manifest["rounds"]}
     assert by_round[None]["count"] == 1
     assert by_round[2] == {"round": 2, "budget": 3, "count": 2}
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import ReplySequenceBackend, SynthesizingBackend, make_pool, make_records, tagging_reply
 from tagevol.evolution import evolve_rounds, sample_candidates
-from tagevol.errors import LoadError, ParseError, PreconditionError
+from tagevol.errors import LoadError, ParseError, PreconditionError, StageFailed
 from tagevol.gateway import (
     ChatRequest,
     ChatResponse,
@@ -22,7 +22,6 @@ from tagevol.gateway import (
 )
 from tagevol.tagging import (
     POOL_FORMAT_VERSION,
-    BuildFailed,
     RejectedTag,
     TagEntry,
     TagPool,
@@ -193,7 +192,7 @@ def test_unparseable_record_is_reported_not_fatal():
 def test_all_records_failing_is_build_failed():
     records = make_records(2)
     gateway = _scripted_gateway(records, ["garbage", "garbage"])
-    with pytest.raises(BuildFailed):
+    with pytest.raises(StageFailed):
         build_tag_pool(records, gateway, retries_per_record=0, model="mock")
 
 

@@ -130,12 +130,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             # An integer for a float field is stored as the float its flag would give,
             # so the config and flag forms key the cache and the manifest alike.
             values[key] = float(value) if hint is float else value
-    # Common flags share their config field's name; None means "not given".
-    # --budgets is weighed against --preset in cmd_evolve instead.
+    # Flags share their config field's name; None means "not given", and --budgets is weighed against
+    # --preset in cmd_evolve. Only model and endpoint text reaches a request; a path may hold any byte.
     for key in _CONFIG_KEYS - {"budgets"}:
         flag_value = getattr(args, key, None)
-        if isinstance(flag_value, str) and not _is_unicode(flag_value):
-            raise LoadError("command line", 0, f"--{key.replace('_', '-')} holds a lone UTF-16 surrogate, which UTF-8 cannot encode")
+        if key in ("model", "endpoint") and flag_value is not None and not _is_unicode(flag_value):
+            raise LoadError("command line", 0, f"--{key} holds a lone UTF-16 surrogate, which UTF-8 cannot encode")
         if flag_value is not None:
             values[key] = flag_value
     return RunConfig(**values)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -87,6 +88,7 @@ class EvolvedRecord(InstructionRecord):
 
 
 _EVOLVED_MARKER_KEYS = ("parent_id", "round", "budget")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # the only form of a surrogate in strict UTF-8 JSON
 
 
 def _is_unicode(*texts: str) -> bool:
@@ -100,8 +102,8 @@ def _is_unicode(*texts: str) -> bool:
 
 
 def _reject_surrogates(path, line: int, text: str, value) -> None:
-    """Raise :class:`LoadError` if ``value``, parsed from JSON ``text``, holds a lone surrogate; only a ``\\u`` escape can carry one."""
-    if "\\u" in text and not _is_unicode(json.dumps(value, ensure_ascii=False)):
+    """Raise :class:`LoadError` if ``value``, parsed from JSON ``text``, holds a lone surrogate."""
+    if _SURROGATE_ESCAPE.search(text) and not _is_unicode(json.dumps(value, ensure_ascii=False)):
         raise LoadError(path, line, "text holds a lone UTF-16 surrogate, which UTF-8 cannot encode")
 
 

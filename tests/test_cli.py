@@ -779,3 +779,21 @@ def test_a_lone_surrogate_in_any_input_exits_2_before_any_send(case, tmp_path, c
     assert captured.out == ""
     assert sends == []
     assert not out.exists()
+
+
+@pytest.mark.skipif(os.name != "posix", reason="argv paths are bytes only on POSIX")
+@pytest.mark.parametrize("flag", ["--mock-script", "--cache-dir"])
+def test_a_path_flag_with_a_non_utf8_byte_still_works(flag, tmp_path, capsys):
+    _, seed_path, script_path = _prepare(tmp_path)
+    # Python decodes the argv byte of $'s\xff' to the surrogate \udcff, which open() encodes back.
+    odd_path = tmp_path / "s\udcff"
+    argv = ["tag", str(seed_path), "--out", str(tmp_path / "pool.json"), "--mock-script", str(script_path)]
+    if flag == "--mock-script":
+        odd_path.write_bytes(script_path.read_bytes())
+        argv[-1] = str(odd_path)
+        argv.append("--no-cache")
+    else:
+        argv += ["--cache-dir", str(odd_path)]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert odd_path.exists()

@@ -403,15 +403,15 @@ def test_cached_bad_reply_is_resent_and_replaced(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "bad_line",
+    "bad_line, bad_key",
     [
-        '{"content": "x"}',
-        "[1, 2]",
-        '{"key": "k", "content": 5}',
-        '{"key": "k", "content": "x", "finish_reason": 7}',
-        '{"key": 5, "content": "x"}',
-        '{"key": "k", "content": "x\\ud800y"}',
-        '{"key": "k", "content": "x", "finish_reason": "\\udfff"}',
+        ('{"content": "x"}', None),
+        ("[1, 2]", None),
+        ('{"key": "k", "content": 5}', "k"),
+        ('{"key": "k", "content": "x", "finish_reason": 7}', "k"),
+        ('{"key": 5, "content": "x"}', 5),
+        ('{"key": "k", "content": "x\\ud800y"}', "k"),
+        ('{"key": "k", "content": "x", "finish_reason": "\\udfff"}', "k"),
     ],
     ids=[
         "no_key",
@@ -423,13 +423,13 @@ def test_cached_bad_reply_is_resent_and_replaced(tmp_path):
         "finish_reason_lone_surrogate",
     ],
 )
-def test_cache_load_skips_valid_json_lines_that_are_not_entries(bad_line, tmp_path):
+def test_cache_load_skips_valid_json_lines_that_are_not_entries(bad_line, bad_key, tmp_path):
     key = request_cache_key(_request("kept prompt"))
     good_line = json.dumps({"key": key, "content": "kept", "finish_reason": "stop"})
     (tmp_path / "cache").mkdir()
     (tmp_path / "cache" / "responses.jsonl").write_text(f"{bad_line}\n{good_line}\n", encoding="utf-8")
     cache = ResponseCache(tmp_path / "cache")
-    assert cache.get("k") is None
+    assert cache.get(bad_key) is None
     assert cache.get(key).content == "kept"
 
 

@@ -5,9 +5,8 @@ import random
 import pytest
 
 from helpers import make_records, tagging_reply
-from tagevol.errors import PreconditionError
+from tagevol.errors import PreconditionError, StageFailed
 from tagevol.gateway import ChatResponse, Gateway, MockBackend, ResponseCache, prompt_digest, user_message
-from tagevol.errors import StageFailed
 from tagevol.metrics import difficulty, diversity, evaluate_dataset
 from tagevol.tagging import build_tagging_prompt
 

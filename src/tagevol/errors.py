@@ -16,7 +16,8 @@ class ParseError(RecordError):
 
     ``reason`` is a stable machine-readable code such as ``MissingMarker``,
     ``BadObject``, ``Empty``, ``MissingStep3``, ``BadSubset`` or
-    ``Truncated`` (the reply stopped at ``max_tokens``).
+    ``Truncated``. ``Gateway.complete`` alone raises ``Truncated``, for a
+    reply that stopped at ``max_tokens``, in every stage.
     """
 
     def __init__(self, reason: str, detail: str = ""):

@@ -238,14 +238,14 @@ def evolve_record(
     """Evolve one record: sample candidates, prompt, parse, validate, package.
 
     Each attempt draws a fresh candidate batch from ``rng``; an unparseable
-    reply, or one cut off at ``max_tokens`` (:class:`ParseError`
-    ``Truncated``), consumes one of ``retries`` extra attempts. A backend
-    failure ends the record at once, because the gateway has already retried
-    the transient ones. Raises the gateway's :class:`BackendError`, or the last
-    :class:`ParseError` when no reply parses. The returned record carries
-    full provenance (candidates, subset, plan, flags, reply digest).
-    :func:`evolve_rounds` checks ``budget``, ``cand_size`` and the pool size
-    before any send.
+    reply, or one the gateway rejects as cut off at ``max_tokens``
+    (:class:`ParseError` ``Truncated``), consumes one of ``retries`` extra
+    attempts. A backend failure ends the record at once, because the gateway
+    has already retried the transient ones. Raises the gateway's
+    :class:`BackendError`, or the last :class:`ParseError` when no reply
+    parses. The returned record carries full provenance (candidates, subset,
+    plan, flags, reply digest). :func:`evolve_rounds` checks ``budget``,
+    ``cand_size`` and the pool size before any send.
     """
     candidates: list[str] = []
 
@@ -260,8 +260,6 @@ def evolve_record(
         )
 
     def parse(response: ChatResponse) -> tuple[ParsedEvolution, str]:
-        if response.truncated:
-            raise ParseError("Truncated", "the reply stopped at max_tokens")
         parsed = parse_evolution_response(response.content)
         return parsed, hashlib.sha256(response.content.encode("utf-8")).hexdigest()
 

@@ -107,11 +107,6 @@ class ChatResponse:
     prompt_tokens: int | None = None
     completion_tokens: int | None = None
 
-    @property
-    def truncated(self) -> bool:
-        """True when the backend stopped the reply at ``max_tokens``."""
-        return self.finish_reason == "length"
-
 
 def prompt_digest(messages: Iterable[ChatMessage]) -> str:
     """Stable sha256 over the rendered message list; keys the mock script."""
@@ -257,7 +252,7 @@ class HttpBackend:
             payload = json.loads(raw)
             choice = payload["choices"][0]
             content = choice["message"]["content"]
-        except (ValueError, LookupError, TypeError) as err:
+        except (ValueError, LookupError, TypeError, RecursionError) as err:
             raise MalformedBackendReply(f"cannot read completion from reply: {err}") from err
         if not isinstance(content, str):
             raise MalformedBackendReply("completion content is not text")
@@ -304,7 +299,7 @@ class ResponseCache:
                 with self.path.open("rb") as lines:
                     for line in lines:
                         self._load_line(line)
-        except OSError as err:
+        except (OSError, ValueError) as err:  # ValueError: a path holding a NUL, which a config file can give
             raise LoadError(self.directory, 0, f"cannot use as a response cache directory: {err}") from err
         # The first append starts a new line, so a torn last line loses no new entry.
         self._torn = bool(line) and not line.endswith(b"\n")
@@ -313,7 +308,7 @@ class ResponseCache:
         try:
             obj = json.loads(line)
             key, content, finish_reason = obj["key"], obj["content"], obj.get("finish_reason", "stop")
-        except (ValueError, LookupError, TypeError):
+        except (ValueError, LookupError, TypeError, RecursionError):
             return
         if isinstance(key, str) and isinstance(content, str) and isinstance(finish_reason, str):
             if _is_unicode(content, finish_reason):
@@ -386,16 +381,19 @@ class Gateway:
     def complete(self, request: ChatRequest, parse: Callable[[ChatResponse], T] = _identity) -> T:
         """Return ``parse`` of the reply to ``request``, from the cache or the backend.
 
-        A reply is cached only after ``parse`` accepts it. A cached reply that
-        ``parse`` rejects with a :class:`RecordError` counts as a miss, so a
-        rerun repairs a poisoned cache. A reply whose text holds a lone
-        surrogate, which UTF-8 cannot encode, is a
-        :class:`MalformedBackendReply` from any backend and is not retried.
+        This is the one truncation rule: a reply cut off at ``max_tokens``
+        (``finish_reason`` ``"length"``) raises :class:`ParseError`
+        ``Truncated`` for every stage. A reply is cached only after ``parse``
+        accepts it. A cached reply that is truncated or that ``parse``
+        rejects with a :class:`RecordError` counts as a miss, so a rerun
+        repairs a poisoned cache. A reply whose text holds a lone surrogate,
+        which UTF-8 cannot encode, is a :class:`MalformedBackendReply` from
+        any backend and is not retried.
         """
         key = request_cache_key(request)
         if self.cache is not None:
             hit = self.cache.get(key)
-            if hit is not None:
+            if hit is not None and hit.finish_reason != "length":
                 try:
                     return parse(hit)
                 except RecordError:
@@ -412,6 +410,8 @@ class Gateway:
                 continue
             if not _is_unicode(response.content, response.finish_reason):
                 raise MalformedBackendReply("reply text holds a lone surrogate, which UTF-8 cannot encode")
+            if response.finish_reason == "length":
+                raise ParseError("Truncated", f"the reply stopped at max_tokens ({request.max_tokens})")
             parsed = parse(response)
             if self.cache is not None:
                 self.cache.put(key, response)

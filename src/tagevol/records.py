@@ -148,13 +148,15 @@ def _checked(obj: dict, key: str, accepts, expected: str, default=None):
     return value
 
 
-def record_from_json(obj: dict, *, default_id: str | None = None) -> InstructionRecord:
+def record_from_json(obj: dict, *, default_id: str) -> InstructionRecord:
     """Build a record from one parsed JSONL object. Raises ValueError on schema problems.
 
-    Evolved fields are type-checked, never coerced: ``round`` and ``budget``
-    are integers (not booleans), ``parent_id`` is a string, the tag and flag
-    lists hold only strings, and ``plan`` and ``raw_digest`` are strings. The
-    lists, ``plan`` and ``raw_digest`` may be absent or null.
+    Only types are checked here, never coerced; nonempty values and ranges
+    are left to the record constructors. ``id`` defaults to ``default_id``.
+    ``round`` and ``budget`` are integers (not booleans), ``parent_id`` is a
+    string, the tag and flag lists hold only strings, and ``plan`` and
+    ``raw_digest`` are strings. The lists, ``plan`` and ``raw_digest`` may be
+    absent or null.
 
     ``selected_tags``, ``candidate_tags`` and ``flags`` hold interned strings
     (``sys.intern``), so equal tags are one object across records and loads.
@@ -162,16 +164,11 @@ def record_from_json(obj: dict, *, default_id: str | None = None) -> Instruction
     distinct tag it ever loaded, a cost bounded by the distinct-tag count.
     """
     instruction = obj.get("instruction")
-    if not isinstance(instruction, str) or not instruction.strip():
-        raise ValueError("missing or empty 'instruction' field")
-    if "id" in obj:
-        record_id = obj["id"]
-        if not isinstance(record_id, str) or not record_id:
-            raise ValueError("'id' must be a nonempty string")
-    else:
-        if default_id is None:
-            raise ValueError("missing 'id' field")
-        record_id = default_id
+    if not isinstance(instruction, str):
+        raise ValueError("missing 'instruction' field or not a string")
+    record_id = obj.get("id", default_id)
+    if not isinstance(record_id, str):
+        raise ValueError("'id' must be a string")
     response = obj.get("response")
     if response is not None and not isinstance(response, str):
         raise ValueError("'response' must be a string or null")
@@ -235,9 +232,11 @@ def load_dataset(path: str | Path) -> list[InstructionRecord]:
                     continue
                 try:
                     obj = json.loads(line)
+                    _reject_surrogates(path, lineno, line, obj)
                 except json.JSONDecodeError as err:
                     raise LoadError(path, lineno, f"invalid JSON: {err.msg}") from err
-                _reject_surrogates(path, lineno, line, obj)
+                except RecursionError as err:
+                    raise LoadError(path, lineno, "invalid JSON: nested too deeply") from err
                 if not isinstance(obj, dict):
                     raise LoadError(path, lineno, "expected a JSON object")
                 try:
@@ -344,9 +343,9 @@ def read_json(path: str | Path):
     try:
         text = Path(path).read_text(encoding="utf-8")
         value = json.loads(text)
-    except (OSError, ValueError) as err:
+        _reject_surrogates(path, 0, text, value)
+    except (OSError, ValueError, RecursionError) as err:
         raise LoadError(path, 0, f"cannot read JSON: {err}") from err
-    _reject_surrogates(path, 0, text, value)
     return value
 
 

@@ -11,16 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .errors import RecordError
-from .gateway import (
-    DEFAULT_MAX_TOKENS,
-    DEFAULT_RETRIES,
-    RESPONSE_TEMPERATURE,
-    ChatRequest,
-    ChatResponse,
-    Gateway,
-    user_message,
-)
+from .gateway import DEFAULT_MAX_TOKENS, DEFAULT_RETRIES, RESPONSE_TEMPERATURE, ChatRequest, Gateway, user_message
 from .records import InstructionRecord
 
 
@@ -49,16 +40,12 @@ def generate_responses(
     retry, and ``retries`` is accepted and unused: each prompt gets the
     gateway's transient retries only, and any other backend failure, such as
     a rejected credential, fails the record after one send. So does a reply
-    cut off at ``max_tokens``: it is not stored as the response, and a rerun
-    with a larger ``max_tokens`` fills it. A failed record passes through
-    unchanged and is listed in the report's ``failures``.
+    the gateway rejects as cut off at ``max_tokens`` (``Truncated: the reply
+    stopped at max_tokens (N)``): it is not stored as the response, and a
+    rerun with a larger ``max_tokens`` fills it. A failed record passes
+    through unchanged and is listed in the report's ``failures``.
     """
     records = list(records)
-
-    def answer(reply: ChatResponse) -> str:
-        if reply.truncated:
-            raise RecordError(f"Truncated: the reply stopped at max_tokens ({max_tokens})")
-        return reply.content
 
     def respond(record: InstructionRecord) -> InstructionRecord:
         if record.response is not None and not overwrite:
@@ -66,7 +53,7 @@ def generate_responses(
         request = ChatRequest(
             model=model, messages=(user_message(record.instruction),), temperature=temperature, max_tokens=max_tokens
         )
-        return replace(record, response=gateway.complete(request, answer))
+        return replace(record, response=gateway.complete(request).content)
 
     outcomes, failures = gateway.map_in_order(respond, records)
     out = [record if outcome is None else outcome for record, outcome in zip(records, outcomes)]

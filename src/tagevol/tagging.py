@@ -266,8 +266,6 @@ def _reply_preamble(text: str) -> str:
 
 
 def _parse_tagging_reply(response: ChatResponse) -> tuple[dict[str, list[str]], str]:
-    if response.truncated:
-        raise ParseError("Truncated", "the reply stopped at max_tokens")
     return parse_tagging_response(response.content), _reply_preamble(response.content)
 
 
@@ -282,11 +280,12 @@ def tag_record(
 ) -> tuple[dict[str, list[str]], str]:
     """Tag one record: its aspect-to-tags map and the step-1 reply preamble.
 
-    An unparseable reply, or one cut off at ``max_tokens`` (:class:`ParseError`
-    ``Truncated``), is retried with the identical prompt up to ``retries``
-    times, and every retry is a fresh send; the gateway caches only replies
-    that parse. Raises the gateway's :class:`BackendError`, or the last
-    :class:`ParseError` when no reply parses.
+    An unparseable reply, or one the gateway rejects as cut off at
+    ``max_tokens`` (:class:`ParseError` ``Truncated``), is retried with the
+    identical prompt up to ``retries`` times, and every retry is a fresh send;
+    the gateway caches only replies that parse. Raises the gateway's
+    :class:`BackendError`, or the last :class:`ParseError` when no reply
+    parses.
     """
     request = ChatRequest(
         model=model,

@@ -596,6 +596,16 @@ def test_cache_dir_naming_a_file_exits_2_before_any_send(tmp_path, capsys, sends
     assert not_a_dir.read_text(encoding="utf-8") == "occupied"
 
 
+def test_a_config_cache_dir_holding_a_nul_exits_2_before_any_send(tmp_path, capsys, sends):
+    _, seed_path, script_path = _prepare(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"cache_dir": "cache\u0000dir"}), encoding="utf-8")
+    argv = ["tag", str(seed_path), "--out", str(tmp_path / "pool.json"), "--mock-script", str(script_path)]
+    assert main([*argv, "--config", str(config)]) == EXIT_INPUT
+    assert json.loads(capsys.readouterr().err)["error"] == "input_error"
+    assert sends == []
+
+
 def test_tag_on_an_empty_seed_file_exits_4_before_any_send(tmp_path, capsys, sends):
     _, _, script_path = _prepare(tmp_path)
     empty = tmp_path / "empty.jsonl"

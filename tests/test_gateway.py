@@ -402,6 +402,39 @@ def test_cached_bad_reply_is_resent_and_replaced(tmp_path):
     assert ResponseCache(tmp_path / "cache").get(key).content == "call 1"
 
 
+class LengthBackend:
+    """Answers every request with a reply cut off at ``max_tokens``."""
+
+    def __init__(self):
+        self.sends = 0
+
+    def send(self, request):
+        self.sends += 1
+        return ChatResponse(content=f"cut off {self.sends}", finish_reason="length")
+
+
+def test_complete_rejects_a_truncated_reply_after_one_send_and_caches_nothing(tmp_path):
+    request = _request("long answer", max_tokens=64)
+    backend = LengthBackend()
+    cache = ResponseCache(tmp_path / "cache")
+    gateway = Gateway(backend, cache=cache, sleep=lambda _: None)
+    with pytest.raises(ParseError, match=r"^Truncated: the reply stopped at max_tokens \(64\)$") as caught:
+        gateway.complete(request)
+    assert caught.value.reason == "Truncated"
+    assert backend.sends == 1
+    assert cache.get(request_cache_key(request)) is None
+    assert ResponseCache(tmp_path / "cache").get(request_cache_key(request)) is None
+
+
+def test_a_cached_truncated_reply_is_a_miss(tmp_path):
+    request = _request("long answer")
+    ResponseCache(tmp_path / "cache").put(request_cache_key(request), ChatResponse(content="cut off", finish_reason="length"))
+    backend = CountingBackend()
+    gateway = Gateway(backend, cache=ResponseCache(tmp_path / "cache"), sleep=lambda _: None)
+    assert gateway.complete(request).content == "call 1"
+    assert backend.sends == 1
+
+
 @pytest.mark.parametrize(
     "bad_line, bad_key",
     [
@@ -431,6 +464,14 @@ def test_cache_load_skips_valid_json_lines_that_are_not_entries(bad_line, bad_ke
     cache = ResponseCache(tmp_path / "cache")
     assert cache.get(bad_key) is None
     assert cache.get(key).content == "kept"
+
+
+def test_cache_load_skips_a_line_nested_deeper_than_the_parser_follows(tmp_path):
+    key = request_cache_key(_request("kept prompt"))
+    good_line = json.dumps({"key": key, "content": "kept", "finish_reason": "stop"})
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "cache" / "responses.jsonl").write_text(f"{'[' * 100_000}\n{good_line}\n", encoding="utf-8")
+    assert ResponseCache(tmp_path / "cache").get(key).content == "kept"
 
 
 def test_cache_load_skips_a_last_line_torn_inside_a_utf8_character(tmp_path):

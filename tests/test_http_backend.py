@@ -183,6 +183,16 @@ def test_non_json_body_is_malformed_reply():
             HttpBackend(url).send(_request())
 
 
+def test_a_body_nested_too_deeply_is_a_malformed_reply_that_fails_only_its_record():
+    # Deeper than json.loads can follow: a RecursionError must not abort the stage.
+    with _raw_server(b"[" * 100_000 + b"]" * 100_000) as url:
+        gateway = _gateway(url)
+        outcomes, failures = gateway.map_in_order(lambda n: gateway.complete(_request()), [0], label=lambda n: {"n": n})
+    assert outcomes == [None]
+    assert failures[0]["n"] == 0 and failures[0]["error"].startswith("cannot read completion from reply")
+    assert len(RawHandler.seen) == 1  # a malformed reply is not retried
+
+
 @pytest.mark.parametrize(
     "field,value",
     [("usage", 5), ("usage", [11, 7]), ("usage", "11/7"), ("finish_reason", 7), ("finish_reason", ["stop"])],

@@ -76,6 +76,25 @@ def test_a_lone_surrogate_is_a_load_error_naming_its_line(obj, tmp_path):
         read_json(path)
 
 
+DEEP_JSON = "[" * 100_000 + "]" * 100_000  # deeper than json.loads can follow
+
+
+def test_a_line_nested_deeper_than_the_parser_follows_is_a_load_error_naming_its_line(tmp_path):
+    path = tmp_path / "seed.jsonl"
+    _write_lines(path, [json.dumps({"instruction": "ok"}), DEEP_JSON])
+    with pytest.raises(LoadError, match="nested too deeply") as excinfo:
+        load_dataset(path)
+    assert (excinfo.value.path, excinfo.value.line) == (str(path), 2)
+
+
+def test_a_json_file_nested_deeper_than_the_parser_follows_is_a_load_error(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(DEEP_JSON, encoding="utf-8")
+    with pytest.raises(LoadError) as excinfo:
+        read_json(path)
+    assert excinfo.value.path == str(path)
+
+
 @pytest.mark.parametrize(
     "key,value",
     [

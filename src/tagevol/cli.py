@@ -2,14 +2,17 @@
 
 All randomness flows from a single --seed value; with the mock backend and a
 fixed config every command is byte-reproducible. Exit codes: 0 success,
-2 input error, 3 backend error, 4 precondition error. Failures print a
-structured JSON object to stderr.
+2 input error, 3 backend error, 4 precondition error. Stderr carries at most
+one JSON line: the error object of a failure, with the run's library
+warnings under ``"warnings"``, or ``{"warnings": [...]}`` after a success
+that logged any.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import random
 import sys
 import types
@@ -393,25 +396,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _stderr_json(kind: str, message: str) -> None:
-    print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
+class _WarningLog(logging.Handler):
+    """The ``tagevol`` warnings of one command, for its one stderr line."""
+
+    def __init__(self) -> None:
+        super().__init__(logging.WARNING)
+        self.messages: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.messages.append(record.getMessage())
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; stderr gets at most one JSON line (see the module docstring)."""
+    args = build_parser().parse_args(argv)
+    collected = _WarningLog()
+    logger = logging.getLogger("tagevol")
+    logger.addHandler(collected)
+    report: dict = {}
     try:
-        config = build_config(args)
-        return args.func(args, config)
+        code = args.func(args, build_config(args))
     except PreconditionError as err:
-        _stderr_json("precondition_error", str(err))
-        return EXIT_PRECONDITION
+        code, report = EXIT_PRECONDITION, {"error": "precondition_error", "message": str(err)}
     except (BackendError, StageFailed) as err:
-        _stderr_json("backend_error", str(err))
-        return EXIT_BACKEND
+        code, report = EXIT_BACKEND, {"error": "backend_error", "message": str(err)}
     except TagEvolError as err:
-        _stderr_json("input_error", str(err))
-        return EXIT_INPUT
+        code, report = EXIT_INPUT, {"error": "input_error", "message": str(err)}
+    finally:
+        logger.removeHandler(collected)
+    if collected.messages:
+        report["warnings"] = collected.messages
+    if report:
+        print(json.dumps(report), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

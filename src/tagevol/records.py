@@ -10,6 +10,7 @@ atomic: a killed process leaves either the old file or the new one.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -333,9 +334,13 @@ def write_manifest(manifest: dict, path: str | Path) -> None:
     write_json(manifest, path)
 
 
+_JSON_ENCODER = json.JSONEncoder(ensure_ascii=False, indent=2, sort_keys=True)
+_WRITE_BATCH = 4096  # encoder chunks joined into one write by write_json
+
+
 def json_text(payload) -> str:
     """The one rendering of JSON artifacts and summaries: sorted keys, indented, UTF-8."""
-    return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    return _JSON_ENCODER.encode(payload) + "\n"
 
 
 def read_json(path: str | Path):
@@ -350,8 +355,20 @@ def read_json(path: str | Path):
 
 
 def write_json(payload, path: str | Path) -> None:
-    """Write ``payload`` as :func:`json_text`; every JSON artifact goes through here."""
-    _replace_file(path, lambda fh: fh.write(json_text(payload)))
+    """Write ``payload`` as :func:`json_text`; every JSON artifact goes through here.
+
+    The encoder's output is written in joined batches, so memory is bounded by
+    one batch, never the whole text. A payload that fails to serialize midway
+    raises WriteError and leaves the old file as it was.
+    """
+
+    def write(fh) -> None:
+        chunks = _JSON_ENCODER.iterencode(payload)
+        while batch := list(itertools.islice(chunks, _WRITE_BATCH)):
+            fh.write("".join(batch))
+        fh.write("\n")
+
+    _replace_file(path, write)
 
 
 def _replace_file(path: str | Path, write) -> None:

@@ -369,20 +369,27 @@ def load_pool(path: str | Path) -> TagPool:
 
     Entry fields are checked, never coerced, as :func:`records.record_from_json`
     checks them; a wrong type raises :class:`LoadError`, as do an unreadable
-    file, a repeated ``(aspect, tag)`` entry, a ``model`` that is not a string
-    and a ``built_from`` that is neither an object nor null (the last three
-    :func:`save_pool` never writes).
+    file, an ``entries`` that is not a list, a repeated ``(aspect, tag)``
+    entry, a ``model`` that is not a string and a ``built_from`` that is
+    neither an object nor null (the last four :func:`save_pool` never writes).
+
+    The parsed ``entries`` list is converted in place, each slot dropped once
+    its entry is built, so the load peaks at about the size of the pool it
+    returns, not the pool plus its parsed JSON.
     """
     payload = read_json(path)
     if not isinstance(payload, dict):
         raise LoadError(path, 0, "expected a JSON object")
     if payload.get("version") != POOL_FORMAT_VERSION:
         raise LoadError(path, 0, f"unsupported pool version {payload.get('version')!r}")
+    items = payload.get("entries")
+    if not isinstance(items, list):
+        raise LoadError(path, 0, f"malformed pool: 'entries' must be a list, got {type(items).__name__}")
     entries: dict[tuple[str, str], TagEntry] = {}
     try:
         model = _checked(payload, "model", _is_str, "a string", "")
         built_from = _checked(payload, "built_from", lambda v: v is None or isinstance(v, dict), "an object or null")
-        for item in payload["entries"]:
+        for index, item in enumerate(items):
             if not isinstance(item, dict):
                 raise TypeError(f"entry is not an object: {json.dumps(item, ensure_ascii=False)}")
             entry = TagEntry(
@@ -395,6 +402,7 @@ def load_pool(path: str | Path) -> TagPool:
             if (entry.aspect, entry.tag) in entries:
                 raise ValueError(f"repeated entry for aspect {entry.aspect!r}, tag {entry.tag!r}")
             entries[(entry.aspect, entry.tag)] = entry
-    except (KeyError, TypeError, ValueError) as err:
+            items[index] = None
+    except (TypeError, ValueError) as err:
         raise LoadError(path, 0, f"malformed pool: {err}") from err
     return TagPool(entries=entries, model=model, built_from=built_from)

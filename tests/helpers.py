@@ -1,12 +1,15 @@
 """Shared test utilities: canned replies, prompt-aware fake backends,
-mock-script builders and brute-force oracles."""
+mock-script builders, brute-force oracles and a fresh-interpreter runner."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import threading
 
 from tagevol.evolution import build_evolution_prompt, record_seed, sample_candidates
@@ -245,3 +248,10 @@ def random_texts(rng: random.Random, count: int, vocab_size: int = 30, min_len: 
 
 def as_records(texts, prefix: str = "t") -> list[InstructionRecord]:
     return [InstructionRecord(id=f"{prefix}:{i}", instruction=text) for i, text in enumerate(texts)]
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports ``tagevol`` from this checkout."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 
 import pytest
 
-from helpers import build_pipeline_script, make_records, write_script
+from helpers import build_pipeline_script, make_pool, make_records, run_python, write_script
 from tagevol.cli import EXIT_BACKEND, EXIT_INPUT, EXIT_OK, EXIT_PRECONDITION, main
 from tagevol.gateway import HttpBackend, MockBackend, request_cache_key
 from tagevol.records import InstructionRecord, load_dataset, write_dataset
+from tagevol.tagging import save_pool
 
 
 @pytest.fixture(autouse=True)
@@ -807,3 +809,56 @@ def test_a_path_flag_with_a_non_utf8_byte_still_works(flag, tmp_path, capsys):
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().err == ""
     assert odd_path.exists()
+
+
+def _cli_process(*argv) -> subprocess.CompletedProcess:
+    """``tagevol`` in a fresh interpreter with logging unconfigured, as a shell runs it."""
+    return run_python("-m", "tagevol.cli", *map(str, argv))
+
+
+def test_a_failed_run_puts_its_warnings_into_its_one_stderr_line(tmp_path):
+    write_dataset(make_records(1), tmp_path / "seed.jsonl")
+    save_pool(make_pool(["loops"]), tmp_path / "pool.json")
+    (tmp_path / "empty.json").write_text("[]", encoding="utf-8")
+    done = _cli_process(
+        "evolve", tmp_path / "seed.jsonl", tmp_path / "pool.json", tmp_path / "rounds",
+        "--budgets", "1", "--mock-script", tmp_path / "empty.json", "--no-cache",
+    )
+    assert done.returncode == EXIT_BACKEND
+    assert [json.loads(line) for line in done.stderr.splitlines()] == [
+        {
+            "error": "backend_error",
+            "message": "every record of at least one round failed",
+            "warnings": ["candidate batch clamped: requested 30, pool holds 1"],
+        }
+    ]
+
+
+def test_a_successful_run_prints_its_warnings_as_one_stderr_line(tmp_path):
+    _, seed_path, script_path = _prepare(tmp_path, n_records=2)
+    entries = json.loads(script_path.read_text(encoding="utf-8"))
+    write_script(script_path, [entries[0], *entries])
+    done = _cli_process("tag", seed_path, "--out", tmp_path / "pool.json", "--mock-script", script_path, "--no-cache")
+    assert done.returncode == EXIT_OK
+    key = entries[0]["prompt_sha256"][:12]
+    assert [json.loads(line) for line in done.stderr.splitlines()] == [
+        {"warnings": [f"mock script entry {key}... replaced; last registration wins"]}
+    ]
+    json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("entries", [{}, "ab", 5], ids=["object", "string", "number"])
+def test_pool_entries_that_are_not_a_list_exit_2(entries, tmp_path):
+    write_dataset(make_records(1), tmp_path / "seed.jsonl")
+    pool_path = tmp_path / "pool.json"
+    pool_path.write_text(json.dumps({"version": 1, "model": "m", "entries": entries}), encoding="utf-8")
+    (tmp_path / "empty.json").write_text("[]", encoding="utf-8")
+    done = _cli_process(
+        "evolve", tmp_path / "seed.jsonl", pool_path, tmp_path / "rounds",
+        "--budgets", "1", "--mock-script", tmp_path / "empty.json", "--no-cache",
+    )
+    assert done.returncode == EXIT_INPUT
+    assert [json.loads(line) for line in done.stderr.splitlines()] == [
+        {"error": "input_error", "message": f"{pool_path}:0: malformed pool: 'entries' must be a list, got {type(entries).__name__}"}
+    ]
+    assert done.stdout == ""

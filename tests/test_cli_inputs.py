@@ -5,7 +5,8 @@ with arbitrary JSON values, non-object lines, lone-surrogate escapes and
 nesting deeper than ``json.loads`` can follow. The mock backend's ``send`` is
 replaced by one that answers each prompt from generated replies with any
 ``finish_reason``, as an HTTP backend may. Every command must end in a
-documented exit code, and a failure in exactly one JSON line on stderr.
+documented exit code, a failure in exactly one JSON line on stderr and a
+success in at most one, which holds only the run's warnings.
 """
 
 from __future__ import annotations
@@ -146,8 +147,11 @@ def test_no_input_ends_in_a_traceback(command, odd, answers, draw):
             with mock.patch.object(MockBackend, "send", _replying(answers)):
                 code = main(argv)
     assert code in (EXIT_OK, EXIT_INPUT, EXIT_BACKEND, EXIT_PRECONDITION)
+    lines = err.getvalue().splitlines()
     if code != EXIT_OK:
-        lines = err.getvalue().splitlines()
         assert len(lines) == 1
-        assert set(json.loads(lines[0])) == {"error", "message"}
+        assert set(json.loads(lines[0])) - {"warnings"} == {"error", "message"}
+    else:
+        assert len(lines) <= 1
+        assert all(set(json.loads(line)) == {"warnings"} for line in lines)
     assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -1,10 +1,7 @@
 from __future__ import annotations
 
 import json
-import os
 import socket
-import subprocess
-import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -12,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from helpers import run_python
 from tagevol.gateway import (
     AuthError,
     BackendError,
@@ -292,19 +290,13 @@ def test_a_followed_redirect_carries_no_credential(status, server):
     assert "Authorization" not in ScriptedHandler.seen_headers[0]
 
 
-def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-
-
 def test_package_imports_and_runs_without_requests():
     code = (
         "import sys; sys.modules['requests'] = None\n"
         "import tagevol.cli\n"
         "tagevol.cli.main(['--help'])\n"
     )
-    result = _fresh_interpreter(code)
+    result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert "usage:" in result.stdout
 
@@ -314,7 +306,7 @@ HTTP_CLIENT_STACK = ("http.client", "urllib.request", "urllib.error", "ssl", "em
 
 def test_importing_the_cli_leaves_the_http_client_stack_unloaded():
     code = f"import sys, tagevol.cli; print(sorted(set({HTTP_CLIENT_STACK!r}) & set(sys.modules)))"
-    result = _fresh_interpreter(code)
+    result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
 
@@ -358,7 +350,7 @@ def test_a_backend_built_in_a_fresh_interpreter_serves_concurrent_workers():
             "    lambda request: gateway.complete(request).content, requests, label=lambda request: {})\n"
             "print(json.dumps([outcomes, failures]))\n"
         )
-        result = _fresh_interpreter(code)
+        result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == [[f"echo call {i}" for i in range(8)], []]
     assert 2 <= SlowEchoHandler.peak <= 4

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tagevol import records
 from tagevol.records import (
     FLAG_TAG_ALREADY_PRESENT,
     EvolvedRecord,
@@ -14,6 +18,7 @@ from tagevol.records import (
     LoadError,
     WriteError,
     build_manifest,
+    json_text,
     load_dataset,
     merge_rounds,
     read_json,
@@ -449,6 +454,87 @@ def test_failed_json_write_keeps_old_bytes_and_leaves_no_temp_file(tmp_path):
         write_json({"a": 2, "b": {"a set"}}, path)
     assert path.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+class _CountingFile:
+    """A text file that records the length of each write it passes on."""
+
+    def __init__(self, fh):
+        self.fh, self.sizes = fh, []
+
+    def write(self, text: str) -> int:
+        self.sizes.append(len(text))
+        return self.fh.write(text)
+
+
+def _count_writes(monkeypatch) -> list[_CountingFile]:
+    opened = []
+    replace_file = records._replace_file
+
+    def counting(path, write):
+        def write_counted(fh):
+            opened.append(_CountingFile(fh))
+            write(opened[-1])
+
+        replace_file(path, write_counted)
+
+    monkeypatch.setattr(records, "_replace_file", counting)
+    return opened
+
+
+def _circular_after(count: int) -> list:
+    loop: list = list(range(count))
+    loop.append(loop)
+    return loop
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [[*range(3 * records._WRITE_BATCH), object()], _circular_after(3 * records._WRITE_BATCH)],
+    ids=["unserializable", "circular"],
+)
+def test_a_streamed_write_failing_after_its_first_batch_keeps_the_old_file(payload, tmp_path, monkeypatch):
+    path = tmp_path / "report.json"
+    write_json({"a": 1}, path)
+    old = path.read_bytes()
+    opened = _count_writes(monkeypatch)
+    with pytest.raises(WriteError):
+        write_json(payload, path)
+    assert len(opened) == 1 and len(opened[0].sizes) >= 3  # whole batches reached the temp file first
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_write_json_writes_in_batches_never_the_whole_text(tmp_path, monkeypatch):
+    payload = list(range(3 * records._WRITE_BATCH))
+    opened = _count_writes(monkeypatch)
+    write_json(payload, tmp_path / "report.json")
+    text = json_text(payload)
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == text
+    assert 4 <= len(opened[0].sizes) <= 6
+    assert max(opened[0].sizes) < len(text) / 2
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+json_documents = st.recursive(
+    json_scalars, lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5), max_leaves=30
+)
+small_documents = st.recursive(json_scalars, lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner), max_leaves=2)
+longer_than_one_batch = small_documents.map(lambda value: [value] * (records._WRITE_BATCH + 1))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(
+    payload=st.one_of(json_documents, json_documents, st.text(st.characters(min_codepoint=0x80, codec="utf-8")), longer_than_one_batch),
+    batch=st.sampled_from([1, 2, 7, records._WRITE_BATCH]),
+)
+def test_write_json_writes_exactly_json_text(payload, batch):
+    text = json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    assert json_text(payload) == text
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(records, "_WRITE_BATCH", batch):
+        path = Path(tmp) / "out.json"
+        write_json(payload, path)
+        assert path.read_bytes() == text.encode("utf-8")
 
 
 def test_write_replaces_the_file_and_leaves_no_temp_file(tmp_path):

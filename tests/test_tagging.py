@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -20,6 +21,7 @@ from tagevol.gateway import (
     request_cache_key,
     user_message,
 )
+from tagevol.records import json_text, read_json
 from tagevol.tagging import (
     POOL_FORMAT_VERSION,
     RejectedTag,
@@ -344,6 +346,57 @@ def test_empty_pool_file_loads_with_zero_entries(tmp_path):
     path = tmp_path / "pool.json"
     save_pool(TagPool(model="m"), path)
     assert load_pool(path).entry_count == 0
+
+
+def _large_pool(tag_count: int = 6000) -> TagPool:
+    """``tag_count`` distinct two-word tags, each under one or two of four aspects."""
+    rng = random.Random(11)
+    syllables = [c + v for c in "cjqvwxz" for v in "aeiou"]
+    words = [a + b for a in syllables for b in syllables]
+    aspects = ["required skill", "topic", "constraint", "output format"]
+    pool = TagPool(model="synthetic")
+    for i, k in enumerate(rng.sample(range(len(words) ** 2), tag_count)):
+        tag = f"{words[k // len(words)]} {words[k % len(words)]}"
+        for aspect in rng.sample(aspects, rng.randint(1, 2)):
+            pool.add(aspect, tag, surface=tag, source=f"seed:{i}")
+    return pool
+
+
+@pytest.fixture(scope="module")
+def large_pool():
+    return _large_pool()
+
+
+def test_a_large_saved_pool_is_exactly_json_text_of_its_payload(large_pool, tmp_path):
+    path = tmp_path / "pool.json"
+    save_pool(large_pool, path)
+    text = path.read_text(encoding="utf-8")
+    assert text == json_text(read_json(path))
+    assert len(read_json(path)["entries"]) == large_pool.entry_count > 6000
+
+
+def test_saving_a_large_pool_peaks_below_three_times_its_file(large_pool, tmp_path):
+    path = tmp_path / "pool.json"
+    tracemalloc.start()
+    try:
+        save_pool(large_pool, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * path.stat().st_size
+
+
+def test_loading_a_large_pool_peaks_near_the_size_of_the_pool(large_pool, tmp_path):
+    path = tmp_path / "pool.json"
+    save_pool(large_pool, path)
+    tracemalloc.start()
+    try:
+        loaded = load_pool(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.entries == large_pool.entries
+    assert peak < 1.15 * kept
 
 
 class CountingEntries(dict):

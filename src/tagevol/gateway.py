@@ -18,11 +18,11 @@ import json
 import logging
 import math
 import os
+import queue
 import threading
 import time
 import urllib.parse
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -272,10 +272,11 @@ class HttpBackend:
 class ResponseCache:
     """Disk-persisted prompt cache; one JSON line per stored response.
 
-    Entries are appended under a lock, so concurrent callers see atomic
-    per-entry reads and writes. The file is opened once, on the first put,
-    and each entry is one write to that descriptor, which is closed when the
-    cache is collected. On load, the last line for a key wins and
+    Reads take no lock: ``get`` is one dictionary lookup, which sees either
+    no entry or a complete one. Appends are serialized by a lock, so each
+    entry is one whole line of the file. The file is opened once, on the
+    first put, and each entry is one write to that descriptor, which is
+    closed when the cache is collected. On load, the last line for a key wins and
     torn or malformed lines are ignored, as is an entry whose ``key``,
     ``content`` or ``finish_reason`` is not a string, or whose text holds a
     lone surrogate (which :meth:`Gateway.complete` never accepts). The file
@@ -315,8 +316,7 @@ class ResponseCache:
                 self._entries[key] = ChatResponse(content=content, finish_reason=finish_reason)
 
     def get(self, key: str) -> ChatResponse | None:
-        with self._lock:
-            return self._entries.get(key)
+        return self._entries.get(key)
 
     def put(self, key: str, response: ChatResponse) -> None:
         entry = ChatResponse(content=response.content, finish_reason=response.finish_reason)
@@ -332,6 +332,27 @@ class ResponseCache:
             view = memoryview(data)
             while view:
                 view = view[os.write(self._fd, view) :]
+
+
+class _Slots:
+    """Counting semaphore whose wait and wake-up run in C: a queue of tokens."""
+
+    def __init__(self, count: int):
+        self._tokens = queue.SimpleQueue()
+        for _ in range(count):
+            self._tokens.put(None)
+
+    def acquire(self) -> None:
+        self._tokens.get()
+
+    def release(self) -> None:
+        self._tokens.put(None)
+
+    def __enter__(self) -> None:
+        self._tokens.get()
+
+    def __exit__(self, *exc) -> None:
+        self._tokens.put(None)
 
 
 def _identity(response: ChatResponse) -> ChatResponse:
@@ -376,7 +397,7 @@ class Gateway:
         self.max_in_flight = max_in_flight
         self.cache = cache
         self._sleep = sleep
-        self._slots = threading.Semaphore(max_in_flight)
+        self._slots = _Slots(max_in_flight)
 
     def complete(self, request: ChatRequest, parse: Callable[[ChatResponse], T] = _identity) -> T:
         """Return ``parse`` of the reply to ``request``, from the cache or the backend.
@@ -443,22 +464,78 @@ class Gateway:
         to ``failures``. The other items still run; any other exception
         propagates. The default label is ``{"record_id": item.id}``.
 
-        With ``max_in_flight > 1`` it runs up to ``2 * max_in_flight`` workers, so
-        a slot left by a worker in backoff, parsing or cache writes goes to a
-        waiting request; the bound still caps concurrent sends. One slot runs
-        the items serially, with no owned work overlapping a send.
+        With ``max_in_flight > 1`` it runs up to ``2 * max_in_flight`` worker
+        threads, so a slot left by a worker in backoff, parsing or cache writes
+        goes to a waiting request; the bound still caps concurrent sends.
+        Workers pull ``(index, item)`` pairs on demand from one shared
+        iterator into a preallocated outcome list; there is no per-item
+        future. After the first other exception, or an interrupt while
+        waiting, no worker pulls another item, and once every started item
+        has returned the lowest-index error (else the interrupt) is raised.
+        One slot runs the items serially, with no owned work overlapping a
+        send.
         """
-
-        def run(item):
-            try:
-                return fn(item), None
-            except RecordError as err:
-                return None, {**label(item), "error": str(err)}
-
         items = list(items)
+        outcomes: list = [None] * len(items)
+        failures: dict[int, dict] = {}
+
+        def run(index: int, item) -> None:
+            try:
+                outcomes[index] = fn(item)
+            except RecordError as err:
+                failures[index] = {**label(item), "error": str(err)}
+
         if self.max_in_flight == 1 or len(items) <= 1:
-            results = [run(item) for item in items]
+            for index, item in enumerate(items):
+                run(index, item)
         else:
-            with ThreadPoolExecutor(max_workers=min(2 * self.max_in_flight, len(items))) as pool:
-                results = list(pool.map(run, items))
-        return [outcome for outcome, _ in results], [failure for _, failure in results if failure is not None]
+            self._run_threaded(run, items)
+        return outcomes, [failures[index] for index in sorted(failures)]
+
+    def _run_threaded(self, run: Callable[[int, object], None], items: list) -> None:
+        pending = enumerate(items)  # a C iterator: each next() hands out one pair under the GIL
+        errors: dict[int, BaseException] = {}
+        stopped = False
+        # Workers start pulling only once all have started, so an interrupt
+        # inside Thread.start() leaves no running item unjoined.
+        go = threading.Event()
+        # One token per exiting worker. The caller waits on these, and joins
+        # only workers that left one: before CPython 3.13 a join interrupted
+        # while it waits marks the thread stopped, so the next join returns at once.
+        finished = queue.SimpleQueue()
+
+        def work() -> None:
+            nonlocal stopped
+            try:
+                go.wait()
+                for index, item in pending:
+                    if stopped:
+                        return
+                    try:
+                        run(index, item)
+                    except BaseException as err:  # re-raised by the caller below
+                        errors[index] = err
+                        stopped = True
+                        return
+            finally:
+                finished.put(None)
+
+        workers: list[threading.Thread] = []
+        try:
+            for _ in range(min(2 * self.max_in_flight, len(items))):
+                worker = threading.Thread(target=work)
+                worker.start()
+                workers.append(worker)
+            go.set()
+            for _ in workers:
+                finished.get()
+            for worker in workers:
+                worker.join()
+        except BaseException:
+            stopped = True
+            go.set()
+            for worker in workers:
+                worker.join()
+            raise
+        if errors:
+            raise errors[min(errors)]

@@ -375,20 +375,24 @@ def _replace_file(path: str | Path, write) -> None:
     """Run ``write(fh)`` on a sibling ``<name>.tmp``, then rename it over ``path``.
 
     A process killed mid-write leaves the old file intact. There is no fsync:
-    this guards against a killed process, not against power loss. A symlink or
-    a non-regular file (a device, a pipe) is written through in place, since
+    this guards against a killed process, not against power loss. A symlink
+    is followed: the temp file goes beside its final target and replaces that
+    target, so the link stays and a failed write leaves the old target whole.
+    A non-regular file (a device, a pipe) is written through in place, since
     replacing it would change what ``path`` names. A failed write removes the
     temp file and raises WriteError, also when ``write`` cannot serialize.
     """
     path = Path(path)
     try:
-        in_place = path.is_symlink() or (path.exists() and not path.is_file())
-        target = path if in_place else path.with_name(path.name + ".tmp")
+        real = Path(os.path.realpath(path)) if path.is_symlink() else path
+        # ``real`` is still a symlink only in a loop, which open() then rejects.
+        in_place = real.is_symlink() or (real.exists() and not real.is_file())
+        target = real if in_place else real.with_name(real.name + ".tmp")
         try:
             with target.open("w", encoding="utf-8", newline="\n") as fh:
                 write(fh)
             if not in_place:
-                os.replace(target, path)
+                os.replace(target, real)
         except BaseException:
             if not in_place:
                 target.unlink(missing_ok=True)

@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import random
+import signal
 import sys
 import threading
 import time
@@ -296,6 +297,121 @@ def test_map_in_order_propagates_errors_that_are_not_record_errors(max_in_flight
         gateway.map_in_order(fn, range(5))
 
 
+class StartProbe:
+    """Records which items started and which returned (by value or by raising)."""
+
+    def __init__(self):
+        self.started: set[int] = set()
+        self.returned: set[int] = set()
+
+    def wrap(self, fn):
+        def probed(item):
+            self.started.add(item)
+            try:
+                return fn(item)
+            finally:
+                self.returned.add(item)
+
+        return probed
+
+
+def test_map_in_order_on_one_slot_starts_nothing_after_an_error_that_is_not_a_record_error():
+    def fn(item):
+        if item in (3, 5):
+            raise PreconditionError(f"item {item}")
+        return item
+
+    probe = StartProbe()
+    with pytest.raises(PreconditionError, match="item 3"):
+        Gateway(MockBackend(), max_in_flight=1).map_in_order(probe.wrap(fn), range(20))
+    assert probe.started == probe.returned == {0, 1, 2, 3}
+
+
+def test_map_in_order_stops_pulling_after_an_error_and_raises_the_lowest_index_one():
+    # Two slots run four workers. Items 0-3 start together, one per worker.
+    # Item 2 fails first; items 0, 1 and 3 go on only once its worker has
+    # stopped, and then item 1 fails too. Every other worker must see the stop
+    # and pull no further item, and the error raised is item 1's.
+    together = threading.Barrier(4, timeout=10)
+    first_failure: list[threading.Thread] = []
+
+    def fn(item):
+        if item < 4:
+            if item == 2:
+                first_failure.append(threading.current_thread())
+            together.wait()
+            if item == 2:
+                raise PreconditionError("item 2")
+            first_failure[0].join(timeout=10)
+            assert not first_failure[0].is_alive()
+            time.sleep(0.01)
+            if item == 1:
+                raise PreconditionError("item 1")
+        return item
+
+    probe = StartProbe()
+    threads_before = threading.active_count()
+    with pytest.raises(PreconditionError, match="item 1"):
+        Gateway(MockBackend(), max_in_flight=2).map_in_order(probe.wrap(fn), range(40))
+    assert probe.started == probe.returned == {0, 1, 2, 3}
+    assert threading.active_count() == threads_before
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 2])
+def test_a_keyboard_interrupt_from_fn_propagates_once_every_started_item_returned(max_in_flight):
+    def fn(item):
+        if item == 5:
+            raise KeyboardInterrupt
+        time.sleep(0.001)
+        return item
+
+    probe = StartProbe()
+    threads_before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        Gateway(MockBackend(), max_in_flight=max_in_flight).map_in_order(probe.wrap(fn), range(1000))
+    assert 5 in probe.started
+    assert probe.started == probe.returned
+    assert len(probe.started) < 1000
+    assert threading.active_count() == threads_before
+
+
+def test_an_interrupt_while_joining_stops_the_workers_and_propagates():
+    main = threading.main_thread()
+
+    def fn(item):
+        if item == 3:
+            signal.pthread_kill(main.ident, signal.SIGINT)
+        time.sleep(0.001)
+        return item
+
+    probe = StartProbe()
+    threads_before = threading.active_count()
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            Gateway(MockBackend(), max_in_flight=2).map_in_order(probe.wrap(fn), range(2000))
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert 3 in probe.started
+    assert probe.started == probe.returned
+    assert len(probe.started) < 2000
+    assert threading.active_count() == threads_before
+
+
+def test_map_in_order_memory_is_a_few_bytes_per_item():
+    # The runner keeps one outcome slot per item and no per-item future.
+    items = list(range(20_000))
+    gateway = Gateway(MockBackend(), max_in_flight=2)
+    tracemalloc.start()
+    try:
+        results, failures = gateway.map_in_order(lambda item: item, items)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert results == items and failures == []
+    assert peak < 200 * len(items)
+
+
 class SurrogateBackend:
     """Answers the prompt "item 3" with a lone surrogate and every other prompt with its echo."""
 
@@ -523,6 +639,40 @@ def test_concurrent_puts_all_persist(tmp_path):
     reloaded = ResponseCache(tmp_path / "cache")
     assert all(reloaded.get(f"key-{t}-{i}").content == f"reply ✓ {t} {i}" for t in range(8) for i in range(50))
     assert len((tmp_path / "cache" / "responses.jsonl").read_bytes().splitlines()) == 400
+
+
+def test_concurrent_gets_see_no_entry_or_a_whole_one(tmp_path):
+    cache = ResponseCache(tmp_path / "cache")
+    entries = {f"key-{i}": ChatResponse(content=f"reply ✓ {i} " + "x" * (i % 97)) for i in range(2000)}
+    keys = list(entries)
+    seen_wrong = []
+
+    def interleave(thread):
+        # Each thread puts every fourth key and reads all the others, in its own order.
+        for key in random.Random(thread).sample(keys, len(keys)):
+            if int(key.split("-")[1]) % 4 == thread:
+                cache.put(key, entries[key])
+            else:
+                got = cache.get(key)
+                if got is not None and got != entries[key]:
+                    seen_wrong.append((key, got))
+
+    threads = [threading.Thread(target=interleave, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen_wrong == []
+    lines = (tmp_path / "cache" / "responses.jsonl").read_bytes().splitlines()
+    assert sorted(json.loads(line)["key"] for line in lines) == sorted(keys)
+    reloaded = ResponseCache(tmp_path / "cache")
+    assert all(reloaded.get(key) == entry for key, entry in entries.items())
 
 
 def test_cache_opens_its_file_once_however_many_puts(tmp_path, monkeypatch):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -549,10 +551,45 @@ def test_write_replaces_the_file_and_leaves_no_temp_file(tmp_path):
 
 
 def test_write_through_a_symlink_keeps_the_link(tmp_path):
-    real = tmp_path / "real.json"
+    (tmp_path / "data").mkdir()
+    real = tmp_path / "data" / "real.json"
     real.write_text("{}\n", encoding="utf-8")
     link = tmp_path / "link.json"
     link.symlink_to(real)
     write_json({"a": 1}, link)
     assert link.is_symlink()
     assert json.loads(real.read_text(encoding="utf-8")) == {"a": 1}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "link.json"]
+    assert [p.name for p in (tmp_path / "data").iterdir()] == ["real.json"]
+
+
+def test_a_failed_write_through_a_symlink_keeps_the_old_target(tmp_path):
+    real = tmp_path / "real.json"
+    write_json({"a": 1}, real)
+    old = real.read_bytes()
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    with pytest.raises(WriteError):
+        write_json([*range(10_000), object()], link)
+    assert link.is_symlink() and link.resolve() == real
+    assert real.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("through_link", [False, True], ids=["pipe", "symlink-to-pipe"])
+def test_a_pipe_is_written_in_place(through_link, tmp_path):
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    path = pipe
+    if through_link:
+        path = tmp_path / "link.json"
+        path.symlink_to(pipe)
+    reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)  # lets the write open the pipe without waiting
+    try:
+        write_json({"a": 1}, path)
+        assert os.read(reader, 1 << 16) == json_text({"a": 1}).encode("utf-8")
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(pipe).st_mode)
+    assert path.is_symlink() == through_link

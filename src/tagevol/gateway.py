@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import LoadError, ParseError, PreconditionError, RecordError
-from .records import _is_unicode, read_json
+from .records import WriteError, _is_unicode, read_json
 
 log = logging.getLogger(__name__)
 
@@ -282,7 +282,8 @@ class ResponseCache:
     lone surrogate (which :meth:`Gateway.complete` never accepts). The file
     is read line by line, so a load holds one line beyond the entries it
     keeps. A directory that cannot be created or read raises
-    :class:`LoadError`.
+    :class:`LoadError`, and an append that cannot be written raises
+    :class:`WriteError`, which stops the stage.
     """
 
     def __init__(self, directory: str | Path):
@@ -323,15 +324,18 @@ class ResponseCache:
         line = json.dumps({"key": key, "content": entry.content, "finish_reason": entry.finish_reason}, ensure_ascii=False)
         data = f"{line}\n".encode("utf-8")
         with self._lock:
+            try:
+                if self._fd is None:
+                    self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+                    weakref.finalize(self, os.close, self._fd)
+                    if self._torn:
+                        data = b"\n" + data
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(self._fd, view) :]
+            except OSError as err:
+                raise WriteError(f"cannot write {self.path}: {err}") from err
             self._entries[key] = entry
-            if self._fd is None:
-                self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-                weakref.finalize(self, os.close, self._fd)
-                if self._torn:
-                    data = b"\n" + data
-            view = memoryview(data)
-            while view:
-                view = view[os.write(self._fd, view) :]
 
 
 class _Slots:

@@ -40,9 +40,12 @@ class WriteError(TagEvolError):
     """A dataset or JSON artifact could not be written."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstructionRecord:
-    """One instruction with an optional response and open metadata."""
+    """One instruction with an optional response and open metadata.
+
+    Fields live in slots: no per-instance ``__dict__``, no weak references.
+    """
 
     id: str
     instruction: str
@@ -56,7 +59,7 @@ class InstructionRecord:
             raise ValueError("instruction must be nonempty")
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, slots=True, kw_only=True)
 class EvolvedRecord(InstructionRecord):
     """An instruction produced by tag injection, with full provenance.
 
@@ -75,7 +78,9 @@ class EvolvedRecord(InstructionRecord):
     raw_digest: str = ""
 
     def __post_init__(self):
-        super().__post_init__()
+        # Not super(): slots=True builds a new class, which a zero-argument
+        # super() in the old class body rejects on CPython 3.10-3.13.
+        InstructionRecord.__post_init__(self)
         if not self.parent_id:
             raise ValueError("parent_id must be nonempty")
         if self.round < 1:

@@ -862,3 +862,16 @@ def test_pool_entries_that_are_not_a_list_exit_2(entries, tmp_path):
         {"error": "input_error", "message": f"{pool_path}:0: malformed pool: 'entries' must be a list, got {type(entries).__name__}"}
     ]
     assert done.stdout == ""
+
+
+def test_a_cache_append_that_fails_exits_2_with_one_json_line(tmp_path, capsys, sends):
+    _, seed_path, script_path = _prepare(tmp_path)
+    (tmp_path / "cache").mkdir()
+    os.symlink(tmp_path / "missing" / "responses.jsonl", tmp_path / "cache" / "responses.jsonl")
+    argv = ["tag", "seed.jsonl", "--out", "pool.json", "--mock-script", "script.json", "--cache-dir", "cache"]
+    assert main(argv) == EXIT_INPUT
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "input_error"
+    assert err["message"].startswith("cannot write cache/responses.jsonl: [Errno 2] No such file or directory")
+    assert sends
+    assert not (tmp_path / "pool.json").exists()

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 import os
+import pickle
 import stat
 import tempfile
 import tracemalloc
@@ -321,6 +324,27 @@ def test_field_order_is_fixed():
         "flags",
         "raw_digest",
     ]
+
+
+def test_loaded_records_keep_their_fields_in_slots(tmp_path):
+    path = tmp_path / "out.jsonl"
+    write_dataset(_sample_records(), path)
+    loaded = load_dataset(path)
+    for record in loaded:
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.instruction = "changed"
+        # The frozen __setattr__ of a slotted class rejects an undeclared name
+        # with TypeError (CPython 3.10-3.13); there is no table to hold it.
+        with pytest.raises(TypeError):
+            record.note = "extra"
+        assert dataclasses.replace(record) == record
+        assert dataclasses.replace(record, response="other").response == "other"
+        assert copy.deepcopy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record
+    # EvolvedRecord runs the base checks through an explicit call, not super().
+    with pytest.raises(ValueError, match="record id must be nonempty"):
+        dataclasses.replace(loaded[1], id="")
 
 
 def _mk(i, text):

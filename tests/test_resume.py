@@ -1,0 +1,213 @@
+"""Kill-and-resume: an ``evolve`` run killed mid-stage and rerun gives the
+outputs of an uninterrupted run, and resends only what the kill left unsettled.
+
+The backend is a local HTTP server whose reply is a pure function of the
+prompt, so every run sees the same replies. A seeded share of the first
+attempts' prompts get a reply that does not parse; every other prompt gets a
+valid rewrite. The server kills the child on its k-th POST, before answering it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import random
+import signal
+import subprocess
+import sys
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
+
+import pytest
+
+from helpers import SynthesizingBackend, make_pool, make_records
+from tagevol.evolution import build_evolution_prompt, record_seed, sample_candidates
+from tagevol.gateway import ChatRequest, user_message
+from tagevol.records import write_dataset
+from tagevol.tagging import save_pool
+
+pytestmark = pytest.mark.skipif(os.name != "posix", reason="needs SIGKILL")
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SEEDS = 10
+BUDGETS = (1, 2)
+MASTER_SEED = 7
+KILL_AT = 9  # the POST the server answers by killing the child
+MALFORMED = "completely unstructured reply with no markers at all"
+
+
+def _digest(prompt: str) -> str:
+    return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+
+
+def _first_prompts(seeds, pool) -> list[str]:
+    """Each (round, record) job's first prompt, as ``evolve_rounds`` draws it."""
+    prompts = []
+    for round_index, budget in enumerate(BUDGETS, start=1):
+        for index, record in enumerate(seeds):
+            rng = random.Random(record_seed(MASTER_SEED, round_index, index))
+            prompts.append(build_evolution_prompt(record, budget, sample_candidates(pool, 30, rng)))
+    return prompts
+
+
+class _Backend:
+    """Replies, per-run send logs, and the kill on the k-th POST of the killed run."""
+
+    def __init__(self, malformed: set[str]):
+        self.malformed = malformed
+        self.synth = SynthesizingBackend()
+        self.lock = threading.Lock()
+        self.killed = threading.Event()
+        self.run = ""
+        self.log: dict[str, list[tuple[str, str]]] = {}  # run -> [(prompt digest, outcome)]
+        self.child: subprocess.Popen | None = None
+        self.cache_file: Path | None = None
+
+    def start(self, run: str, child_cache_file: Path | None = None) -> None:
+        self.run, self.cache_file = run, child_cache_file
+        self.log[run] = []
+
+    def reply(self, prompt: str) -> str | None:
+        """The reply to send, or None to leave the POST unanswered."""
+        digest = _digest(prompt)
+        with self.lock:
+            log = self.log[self.run]
+            number = len(log) + 1
+            killing = self.cache_file is not None and number >= KILL_AT
+            if killing:
+                outcome = "unanswered"
+            elif digest in self.malformed:
+                outcome = "malformed"
+            else:
+                outcome = "valid"
+            log.append((digest, outcome))
+            valid_answered = sum(1 for _, o in log if o == "valid")
+        if not killing:
+            if outcome == "malformed":
+                return MALFORMED
+            return self.synth.send(ChatRequest(model="m", messages=(user_message(prompt),))).content
+        if number == KILL_AT:
+            # Let every valid reply already answered reach the cache, so the
+            # kill lands between calls, never between a reply and its append.
+            deadline = time.monotonic() + 10
+            while self._cached_lines() < valid_answered and time.monotonic() < deadline:
+                time.sleep(0.01)
+            os.kill(self.child.pid, signal.SIGKILL)
+            self.killed.set()
+        self.killed.wait(10)
+        return None
+
+    def _cached_lines(self) -> int:
+        try:
+            return self.cache_file.read_bytes().count(b"\n")
+        except FileNotFoundError:
+            return 0
+
+    def sent(self, run: str, outcome: str | None = None) -> list[str]:
+        return [digest for digest, o in self.log[run] if outcome is None or o == outcome]
+
+
+def _handler(backend: _Backend):
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            content = backend.reply(body["messages"][-1]["content"])
+            if content is None:
+                return
+            data = json.dumps(
+                {"choices": [{"message": {"role": "assistant", "content": content}, "finish_reason": "stop"}]}
+            ).encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, *args):
+            pass
+
+    return Handler
+
+
+@pytest.fixture
+def served():
+    seeds = make_records(SEEDS, prefix="seed")
+    pool = make_pool([f"skill {i:02d}" for i in range(40)])
+    first = _first_prompts(seeds, pool)
+    malformed = {_digest(p) for p in random.Random(MASTER_SEED).sample(first, len(first) * 2 // 5)}
+    backend = _Backend(malformed)
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), _handler(backend))
+    thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    try:
+        yield seeds, pool, backend, f"http://127.0.0.1:{httpd.server_address[1]}/v1/chat/completions"
+    finally:
+        backend.killed.set()
+        httpd.shutdown()
+        httpd.server_close()
+
+
+def _evolve(run_dir: Path, endpoint: str, backend: _Backend) -> subprocess.Popen:
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+        "NO_PROXY": "127.0.0.1",
+        "no_proxy": "127.0.0.1",
+    }
+    argv = [
+        sys.executable, "-m", "tagevol.cli", "evolve", "seed.jsonl", "pool.json", "rounds",
+        "--budgets", *map(str, BUDGETS), "--seed", str(MASTER_SEED), "--model", "m",
+        "--endpoint", endpoint, "--max-in-flight", "2", "--cache-dir", "cache",
+    ]  # fmt: skip
+    child = subprocess.Popen(argv, cwd=run_dir, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    backend.child = child
+    return child
+
+
+def _finish(child: subprocess.Popen) -> tuple[int, str]:
+    try:
+        _, err = child.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        child.kill()
+        child.communicate()
+        raise
+    return child.returncode, err
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_a_killed_evolve_resumes_to_the_uninterrupted_outputs(served, tmp_path):
+    seeds, pool, backend, endpoint = served
+    runs = {}
+    for name in ("resumed", "reference"):
+        runs[name] = tmp_path / name
+        runs[name].mkdir()
+        write_dataset(seeds, runs[name] / "seed.jsonl")
+        save_pool(pool, runs[name] / "pool.json")
+
+    backend.start("killed", child_cache_file=runs["resumed"] / "cache" / "responses.jsonl")
+    assert _finish(_evolve(runs["resumed"], endpoint, backend))[0] == -signal.SIGKILL
+    backend.start("resumed")
+    assert _finish(_evolve(runs["resumed"], endpoint, backend)) == (0, "")
+    backend.start("reference")
+    assert _finish(_evolve(runs["reference"], endpoint, backend)) == (0, "")
+
+    reference = _tree(runs["reference"] / "rounds")
+    assert len(reference) == 2 * len(BUDGETS) + 1  # round files, their manifests, failures.json
+    assert _tree(runs["resumed"] / "rounds") == reference
+
+    killed_valid = set(backend.sent("killed", "valid"))
+    unsettled = set(backend.sent("killed", "malformed")) | set(backend.sent("killed", "unanswered"))
+    resumed = backend.sent("resumed")
+    assert killed_valid and backend.sent("killed", "malformed")
+    # No reply the killed run accepted is sent again; what is sent again is
+    # a prompt whose reply did not parse or had not come when the kill landed.
+    assert killed_valid.isdisjoint(resumed)
+    killed_sent = set(backend.sent("killed"))
+    assert {digest for digest in resumed if digest in killed_sent} <= unsettled
+    assert sorted(resumed + list(killed_valid)) == sorted(backend.sent("reference"))

@@ -20,7 +20,7 @@ import typing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .errors import PreconditionError, StageFailed, TagEvolError
+from .errors import LoadError, PreconditionError, StageFailed, TagEvolError, WriteError
 from .evolution import DEFAULT_CANDIDATE_SIZE, PRESETS, evolve_rounds
 from .gateway import (
     DEFAULT_MAX_IN_FLIGHT,
@@ -37,11 +37,9 @@ from .gateway import (
 from .leakage import count_matches
 from .metrics import DEFAULT_SAMPLE_SIZE, evaluate_dataset
 from .records import (
-    LoadError,
-    WriteError,
     _is_unicode,
     build_manifest,
-    json_text,
+    dump_json,
     load_dataset,
     manifest_path,
     merge_rounds,
@@ -170,7 +168,7 @@ def _check_out_path(out: str | Path) -> None:
 def _emit(payload: dict, out: str | None = None) -> None:
     if out:
         write_json(payload, out)
-    print(json_text(payload), end="")
+    dump_json(payload, sys.stdout)
 
 
 def cmd_tag(args: argparse.Namespace, config: RunConfig) -> int:
@@ -194,6 +192,8 @@ def cmd_tag(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_evolve(args: argparse.Namespace, config: RunConfig) -> int:
+    if args.preset and args.budgets:
+        raise PreconditionError("--preset and --budgets both give the budgets; pass one of them")
     budgets = list(PRESETS[args.preset] if args.preset else args.budgets or config.budgets or [])
     if not budgets:
         raise PreconditionError("no budgets configured; pass --budgets or --preset")
@@ -277,10 +277,10 @@ def cmd_merge(args: argparse.Namespace, config: RunConfig) -> int:
     seed = load_dataset(args.seed_dataset) if args.seed_dataset else None
     if args.include_seed and seed is None:
         raise PreconditionError("--include-seed requires --seed-dataset")
-    merged = merge_rounds(rounds, include_seed=args.include_seed, seed=seed)
+    merged = merge_rounds(rounds, seed=seed if args.include_seed else ())
     write_dataset(merged, args.out)
     sources = [str(p) for p in args.rounds]
-    if args.include_seed and args.seed_dataset:
+    if args.include_seed:
         sources = [str(args.seed_dataset)] + sources
     manifest = build_manifest(
         name=Path(args.out).stem,

@@ -33,6 +33,10 @@ class PreconditionError(TagEvolError, ValueError):
     """An operation was invoked with inputs that violate its preconditions."""
 
 
+class WriteError(TagEvolError):
+    """A dataset, JSON artifact or cache entry could not be written."""
+
+
 class LoadError(TagEvolError):
     """An input file (dataset, pool, config, mock script) cannot be read, is not UTF-8 or is malformed."""
 

@@ -108,20 +108,17 @@ def sample_candidates(pool: TagPool, size: int, rng: random.Random) -> list[str]
     return rng.sample(tags, min(size, len(tags)))
 
 
-def build_evolution_prompt(
-    record: InstructionRecord | str, budget: int, cand: Sequence[str]
-) -> str:
+def build_evolution_prompt(record: InstructionRecord, budget: int, cand: Sequence[str]) -> str:
     """Render the rewriting prompt with instruction, tag list and budget filled in.
 
     The tag list renders as a JSON array of strings and the word-limit clause
     renders the per-budget cap as a literal number (20 times the budget).
     :func:`evolve_rounds` checks that ``cand`` holds at least ``budget`` >= 1 tags.
     """
-    text = record.instruction if isinstance(record, InstructionRecord) else str(record)
     return fill_template(
         EVOLUTION_PROMPT,
         {
-            "instruction": text,
+            "instruction": record.instruction,
             "tag_list": json.dumps(list(cand), ensure_ascii=False),
             "budget": str(budget),
             "word_limit": str(WORD_DELTA_PER_BUDGET * budget),

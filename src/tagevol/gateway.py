@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .errors import LoadError, ParseError, PreconditionError, RecordError
-from .records import WriteError, _is_unicode, read_json
+from .errors import LoadError, ParseError, PreconditionError, RecordError, WriteError
+from .records import _is_unicode, read_json
 
 log = logging.getLogger(__name__)
 
@@ -140,7 +140,6 @@ class MockBackend:
 
     def __init__(self, script: dict[str, str] | None = None):
         self._script = dict(script or {})
-        self._lock = threading.Lock()
 
     @classmethod
     def from_script_file(cls, path: str | Path) -> "MockBackend":
@@ -158,15 +157,14 @@ class MockBackend:
         return backend
 
     def register(self, prompt_key: str, response: str) -> None:
-        with self._lock:
-            if prompt_key in self._script:
-                log.warning("mock script entry %s... replaced; last registration wins", prompt_key[:12])
-            self._script[prompt_key] = response
+        """Script one reply; call it while loading the script, before any ``send``."""
+        if prompt_key in self._script:
+            log.warning("mock script entry %s... replaced; last registration wins", prompt_key[:12])
+        self._script[prompt_key] = response
 
     def send(self, request: ChatRequest) -> ChatResponse:
         key = prompt_digest(request.messages)
-        with self._lock:
-            scripted = self._script.get(key)
+        scripted = self._script.get(key)
         if scripted is None:
             raise UnscriptedPrompt(f"no scripted response for prompt digest {key}")
         return ChatResponse(content=scripted)
@@ -179,9 +177,8 @@ class HttpBackend:
     "max_tokens"}, as ASCII-escaped JSON. The completion is read from the
     first choice's message content; a ``usage`` that is not an object or a
     ``finish_reason`` that is not text is a :class:`MalformedBackendReply`.
-    The credential comes from the TAGEVOL_API_KEY environment variable unless
-    passed explicitly, and is sent only to the endpoint itself: a redirected
-    request carries none.
+    The credential comes only from the TAGEVOL_API_KEY environment variable,
+    and is sent only to the endpoint itself: a redirected request carries none.
 
     Status mapping: 401/403 raise :class:`AuthError`; 429 and 5xx raise
     :class:`TransientBackendError`; any other status outside 200-299 raises
@@ -196,7 +193,7 @@ class HttpBackend:
     spaces (percent-encode anything else).
     """
 
-    def __init__(self, endpoint: str, api_key: str | None = None, timeout: float = 120.0):
+    def __init__(self, endpoint: str, timeout: float = 120.0):
         # The HTTP client stack loads here, once and on the constructing thread,
         # not at module top; ``send`` then finds it in ``sys.modules``.
         import urllib.request  # noqa: F401  (loads http.client and urllib.error too)
@@ -213,7 +210,7 @@ class HttpBackend:
         if not (endpoint.isascii() and endpoint.isprintable()) or " " in endpoint:
             raise PreconditionError(f"endpoint {endpoint!r} must be printable ASCII without spaces; percent-encode it")
         self.endpoint = endpoint
-        self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
+        self.api_key = os.environ.get(API_KEY_ENV)
         self.timeout = timeout
 
     def send(self, request: ChatRequest) -> ChatResponse:

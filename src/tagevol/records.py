@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .errors import LoadError, TagEvolError
+from .errors import LoadError, WriteError
 
 # Validation-flag codes stored on evolved records.
 FLAG_SUBSET_SIZE_MISMATCH = "SubsetSizeMismatch"
@@ -34,10 +34,6 @@ VALIDATION_FLAGS = (
     FLAG_WORD_DELTA_OUT_OF_RANGE,
     FLAG_FINAL_EQUALS_ORIGINAL,
 )
-
-
-class WriteError(TagEvolError):
-    """A dataset or JSON artifact could not be written."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -275,24 +271,16 @@ def dedup_key(instruction: str) -> str:
 
 
 def merge_rounds(
-    rounds: Sequence[Sequence[InstructionRecord]],
-    include_seed: bool = False,
-    seed: Sequence[InstructionRecord] | None = None,
+    rounds: Sequence[Sequence[InstructionRecord]], seed: Sequence[InstructionRecord] = ()
 ) -> list[InstructionRecord]:
-    """Concatenate round datasets in order, then drop exact instruction duplicates.
+    """Concatenate ``seed`` and the round datasets in order, then drop exact instruction duplicates.
 
     Duplicates are detected on whitespace-normalized instruction text; the
-    earliest occurrence wins. Seed records are prepended only when
-    ``include_seed`` is set.
+    earliest occurrence wins.
     """
-    ordered: list[InstructionRecord] = []
-    if include_seed and seed:
-        ordered.extend(seed)
-    for round_records in rounds:
-        ordered.extend(round_records)
     seen: set[str] = set()
     merged: list[InstructionRecord] = []
-    for record in ordered:
+    for record in itertools.chain(seed, *rounds):
         key = dedup_key(record.instruction)
         if key in seen:
             continue
@@ -340,12 +328,19 @@ def write_manifest(manifest: dict, path: str | Path) -> None:
 
 
 _JSON_ENCODER = json.JSONEncoder(ensure_ascii=False, indent=2, sort_keys=True)
-_WRITE_BATCH = 4096  # encoder chunks joined into one write by write_json
+_WRITE_BATCH = 4096  # encoder chunks joined into one write by dump_json
 
 
-def json_text(payload) -> str:
-    """The one rendering of JSON artifacts and summaries: sorted keys, indented, UTF-8."""
-    return _JSON_ENCODER.encode(payload) + "\n"
+def dump_json(payload, fh) -> None:
+    """Write the one rendering of JSON artifacts and summaries to ``fh``: sorted keys, indented, UTF-8, a final newline.
+
+    The encoder's output is written in joined batches, so memory is bounded by
+    one batch, never the whole text.
+    """
+    chunks = _JSON_ENCODER.iterencode(payload)
+    while batch := list(itertools.islice(chunks, _WRITE_BATCH)):
+        fh.write("".join(batch))
+    fh.write("\n")
 
 
 def read_json(path: str | Path):
@@ -360,20 +355,12 @@ def read_json(path: str | Path):
 
 
 def write_json(payload, path: str | Path) -> None:
-    """Write ``payload`` as :func:`json_text`; every JSON artifact goes through here.
+    """Write ``payload`` with :func:`dump_json`; every JSON artifact goes through here.
 
-    The encoder's output is written in joined batches, so memory is bounded by
-    one batch, never the whole text. A payload that fails to serialize midway
-    raises WriteError and leaves the old file as it was.
+    A payload that fails to serialize midway raises WriteError and leaves the
+    old file as it was.
     """
-
-    def write(fh) -> None:
-        chunks = _JSON_ENCODER.iterencode(payload)
-        while batch := list(itertools.islice(chunks, _WRITE_BATCH)):
-            fh.write("".join(batch))
-        fh.write("\n")
-
-    _replace_file(path, write)
+    _replace_file(path, lambda fh: dump_json(payload, fh))
 
 
 def _replace_file(path: str | Path, write) -> None:

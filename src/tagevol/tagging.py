@@ -67,12 +67,9 @@ def fill_template(template: str, values: dict[str, str]) -> str:
     return _SLOT_RE.sub(lambda match: values[match.group(1)], template)
 
 
-def build_tagging_prompt(record: InstructionRecord | str) -> str:
-    """Render the tagging prompt with the instruction substituted verbatim; an empty one is a :class:`PreconditionError`."""
-    text = record.instruction if isinstance(record, InstructionRecord) else str(record)
-    if not text.strip():
-        raise PreconditionError("cannot tag an empty instruction")
-    return fill_template(TAGGING_PROMPT, {"instruction": text})
+def build_tagging_prompt(record: InstructionRecord) -> str:
+    """Render the tagging prompt with the record's instruction substituted verbatim."""
+    return fill_template(TAGGING_PROMPT, {"instruction": record.instruction})
 
 
 def extract_balanced(text: str, open_char: str, close_char: str) -> str | None:
@@ -258,10 +255,8 @@ class TagPoolBuildReport:
 
 
 def _reply_preamble(text: str) -> str:
-    """Reply text before the final marker: the step-1 reasoning, kept for audit."""
+    """Reply text before the final marker, which a parsed reply holds: the step-1 reasoning, kept for audit."""
     markers = list(_ASPECT2TAGS_RE.finditer(text))
-    if not markers:
-        return ""
     return text[: markers[-1].start()].strip()
 
 

@@ -65,20 +65,35 @@ _INSTR_RE = re.compile(r"Here is the #Instruction#: (.+)")
 VIOLATION_MODES = ("wrong_size", "foreign", "present", "short_final", "same_final")
 
 
-class ReplySequenceBackend:
-    """Pops one reply per call, regardless of prompt; a text reply finishes with "stop"."""
+def _outcome(value):
+    return ChatResponse(content=value) if isinstance(value, str) else value
 
-    def __init__(self, replies):
-        self.replies = [ChatResponse(content=r) if isinstance(r, str) else r for r in replies]
+
+class ReplySequenceBackend:
+    """Answers each send with the next scripted outcome, regardless of prompt,
+    and every send after the list runs out with ``then``, if given.
+
+    An outcome is a reply text (which finishes with "stop"), a ChatResponse,
+    or an exception instance for the send to raise.
+    """
+
+    def __init__(self, replies=(), then=None):
+        self.replies = [_outcome(r) for r in replies]
+        self.then = _outcome(then)
         self.requests = []
+        self._lock = threading.Lock()
 
     @property
     def sends(self) -> int:
         return len(self.requests)
 
     def send(self, request) -> ChatResponse:
-        self.requests.append(request)
-        return self.replies.pop(0)
+        with self._lock:
+            self.requests.append(request)
+            outcome = self.replies.pop(0) if self.replies or self.then is None else self.then
+        if isinstance(outcome, BaseException):
+            raise outcome.with_traceback(None)
+        return outcome
 
 
 class SynthesizingBackend:

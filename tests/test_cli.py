@@ -431,6 +431,42 @@ def test_evolve_precondition_exits_4_before_any_send(extra, tmp_path, capsys, se
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["evolve", "seed.jsonl", "pool.json", "out", "--mock-script", "script.json", "--preset", "math", "--budgets", "2"],
+            "--preset and --budgets both give the budgets; pass one of them",
+        ),
+        (
+            ["evolve", "seed.jsonl", "pool.json", "out", "--mock-script", "script.json"],
+            "no budgets configured; pass --budgets or --preset",
+        ),
+        (
+            ["tag", "seed.jsonl", "--out", "out", "--model", "m"],
+            "no backend configured; pass --endpoint or --mock-script",
+        ),
+        (
+            ["tag", "seed.jsonl", "--out", "out", "--endpoint", "http://127.0.0.1:9/v1"],
+            "no model configured; pass --model or set it in the config file",
+        ),
+    ],
+    ids=["preset_and_budgets", "no_budgets", "no_backend", "no_model"],
+)
+def test_a_missing_or_doubled_setting_exits_4_with_one_json_line_before_any_send(
+    argv, message, tmp_path, capsys, sends, monkeypatch
+):
+    _, seed_path, script_path = _prepare(tmp_path, budgets=(1,))
+    assert _tag(seed_path, script_path, tmp_path / "pool.json") == EXIT_OK
+    capsys.readouterr()
+    sends.clear()
+    monkeypatch.setattr(HttpBackend, "send", lambda self, request: sends.append(request))
+    assert main([*argv, "--no-cache"]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == json.dumps({"error": "precondition_error", "message": message}) + "\n"
+    assert sends == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_evolve_with_a_wrongly_typed_pool_entry_exits_2_before_any_send(tmp_path, capsys, sends):
     _, seed_path, script_path = _prepare(tmp_path, budgets=(1,))
     pool_path = tmp_path / "pool.json"

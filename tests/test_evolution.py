@@ -55,12 +55,13 @@ from tagevol.records import (
     FLAG_SUBSET_SIZE_MISMATCH,
     FLAG_TAG_ALREADY_PRESENT,
     FLAG_WORD_DELTA_OUT_OF_RANGE,
+    InstructionRecord,
 )
 
 
 def test_prompt_contains_budget_and_exclusion_clause():
     cand = [f"tag {i}" for i in range(20)]
-    prompt = build_evolution_prompt("solve the puzzle", 3, cand)
+    prompt = build_evolution_prompt(InstructionRecord("r:1", "solve the puzzle"), 3, cand)
     assert "must exclude any tags already present" in prompt
     assert "The subset should contain 3 tags" in prompt
     assert '["tag 0", "tag 1"' in prompt
@@ -68,7 +69,7 @@ def test_prompt_contains_budget_and_exclusion_clause():
 
 @pytest.mark.parametrize("budget,limit", [(1, 20), (3, 60), (7, 140)])
 def test_word_limit_clause_renders_the_product(budget, limit):
-    prompt = build_evolution_prompt("solve it", budget, [f"t{i}" for i in range(10)])
+    prompt = build_evolution_prompt(InstructionRecord("r:1", "solve it"), budget, [f"t{i}" for i in range(10)])
     assert f"between 10 and {limit} words" in prompt
 
 
@@ -108,6 +109,13 @@ def test_missing_step_four_is_reported():
         "Step 3 #Rewritten Instruction#: longer text\n"
     )
     with pytest.raises(ParseError) as excinfo:
+        parse_evolution_response(reply)
+    assert excinfo.value.reason == "MissingStep4"
+
+
+def test_an_empty_step_four_is_reported():
+    reply = evolution_reply(["a"], "**", rewritten="longer text")
+    with pytest.raises(ParseError, match="^MissingStep4: step 4 section is empty$") as excinfo:
         parse_evolution_response(reply)
     assert excinfo.value.reason == "MissingStep4"
 
@@ -285,38 +293,20 @@ def test_direct_caller_with_too_few_candidates_gets_a_flag():
     assert FLAG_SUBSET_SIZE_MISMATCH in evolved.flags
 
 
-class AlwaysMalformed:
-    def __init__(self):
-        self.sends = 0
-
-    def send(self, request):
-        self.sends += 1
-        return ChatResponse(content="nothing useful")
-
-
 def test_retry_arithmetic_on_persistent_garbage():
     record = make_records(1)[0]
     pool = make_pool([f"notion {i}" for i in range(8)])
-    backend = AlwaysMalformed()
+    backend = ReplySequenceBackend(then="nothing useful")
     gateway = Gateway(backend, max_in_flight=1, sleep=lambda _: None)
     with pytest.raises(ParseError, match="^MissingStep1: "):
         evolve_record(record, 2, pool, gateway, random.Random(0), retries=2, model="mock")
     assert backend.sends == 3
 
 
-class AlwaysUnavailable:
-    def __init__(self):
-        self.sends = 0
-
-    def send(self, request):
-        self.sends += 1
-        raise TransientBackendError("HTTP 503")
-
-
 def test_dead_endpoint_gets_the_gateway_retries_only():
     record = make_records(1)[0]
     pool = make_pool([f"notion {i}" for i in range(8)])
-    backend = AlwaysUnavailable()
+    backend = ReplySequenceBackend(then=TransientBackendError("HTTP 503"))
     gateway = Gateway(backend, retries=3, max_in_flight=1, sleep=lambda _: None)
     with pytest.raises(ExhaustedRetries, match="^gave up after 4 attempts: HTTP 503$"):
         evolve_record(record, 2, pool, gateway, random.Random(0), retries=3, model="mock")

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import ReplySequenceBackend
 from tagevol.errors import LoadError, ParseError, PreconditionError, RecordError
 from tagevol.gateway import (
     AuthError,
@@ -74,22 +75,8 @@ def test_mock_loads_script_file(tmp_path):
     assert backend.send(request).content == "from file"
 
 
-class FlakyBackend:
-    """Fails with the queued errors, then answers every request."""
-
-    def __init__(self, errors):
-        self.errors = list(errors)
-        self.sends = 0
-
-    def send(self, request):
-        self.sends += 1
-        if self.errors:
-            raise self.errors.pop(0)
-        return ChatResponse(content="eventually fine")
-
-
 def test_transient_errors_are_retried_and_counted():
-    backend = FlakyBackend([TransientBackendError("429"), TransientBackendError("429")])
+    backend = ReplySequenceBackend([TransientBackendError("429"), TransientBackendError("429")], then="eventually fine")
     gateway = Gateway(backend, retries=3, sleep=lambda _: None)
     response = gateway.complete(_request("retry me"))
     assert response.content == "eventually fine"
@@ -97,7 +84,7 @@ def test_transient_errors_are_retried_and_counted():
 
 
 def test_auth_error_is_never_retried():
-    backend = FlakyBackend([AuthError("401"), AuthError("401")])
+    backend = ReplySequenceBackend([AuthError("401"), AuthError("401")], then="eventually fine")
     gateway = Gateway(backend, retries=3, sleep=lambda _: None)
     with pytest.raises(AuthError):
         gateway.complete(_request("denied"))
@@ -106,7 +93,7 @@ def test_auth_error_is_never_retried():
 
 def test_exhausted_retries_reports_attempts_and_backoff_is_nondecreasing():
     delays = []
-    backend = FlakyBackend([TransientBackendError(str(i)) for i in range(10)])
+    backend = ReplySequenceBackend([TransientBackendError(str(i)) for i in range(10)])
     gateway = Gateway(backend, retries=3, backoff_base=0.25, sleep=delays.append)
     with pytest.raises(ExhaustedRetries, match="^gave up after 4 attempts: 3$") as excinfo:
         gateway.complete(_request("always down"))
@@ -446,24 +433,15 @@ def test_a_reply_with_a_lone_surrogate_fails_only_its_record(cached, tmp_path):
         assert [reloaded.get(request_cache_key(_request(f"item {n}"))) is None for n in range(6)] == [n == 3 for n in range(6)]
 
 
-class CountingBackend:
-    def __init__(self):
-        self.sends = 0
-
-    def send(self, request):
-        self.sends += 1
-        return ChatResponse(content=f"call {self.sends}")
-
-
 @pytest.mark.parametrize("setting", [{"retries": -1}, {"max_in_flight": 0}], ids=["retries", "max_in_flight"])
 def test_gateway_rejects_bad_settings_with_a_precondition_error(setting):
     with pytest.raises(PreconditionError) as excinfo:
-        Gateway(CountingBackend(), **setting)
+        Gateway(ReplySequenceBackend(), **setting)
     assert isinstance(excinfo.value, ValueError)
 
 
 def test_cache_serves_repeats_and_persists(tmp_path):
-    backend = CountingBackend()
+    backend = ReplySequenceBackend(["call 1", "call 2"])
     cache = ResponseCache(tmp_path / "cache")
     gateway = Gateway(backend, cache=cache, sleep=lambda _: None)
     first = gateway.complete(_request("cached prompt"))
@@ -472,12 +450,12 @@ def test_cache_serves_repeats_and_persists(tmp_path):
     assert first.content == second.content == "call 1"
 
     reloaded = ResponseCache(tmp_path / "cache")
-    gateway2 = Gateway(CountingBackend(), cache=reloaded, sleep=lambda _: None)
+    gateway2 = Gateway(ReplySequenceBackend(), cache=reloaded, sleep=lambda _: None)
     assert gateway2.complete(_request("cached prompt")).content == "call 1"
 
 
 def test_cache_distinguishes_decoding_params(tmp_path):
-    backend = CountingBackend()
+    backend = ReplySequenceBackend(["call 1", "call 2"])
     gateway = Gateway(backend, cache=ResponseCache(tmp_path / "cache"), sleep=lambda _: None)
     gateway.complete(_request("same text", temperature=0.7))
     gateway.complete(_request("same text", temperature=0.0))
@@ -494,7 +472,7 @@ def _rejecting(bad_content):
 
 
 def test_unparseable_reply_is_never_cached(tmp_path):
-    backend = CountingBackend()
+    backend = ReplySequenceBackend(["call 1"])
     cache = ResponseCache(tmp_path / "cache")
     gateway = Gateway(backend, cache=cache, sleep=lambda _: None)
     with pytest.raises(ParseError):
@@ -509,7 +487,7 @@ def test_cached_bad_reply_is_resent_and_replaced(tmp_path):
     request = _request("poisoned prompt")
     key = request_cache_key(request)
     ResponseCache(tmp_path / "cache").put(key, ChatResponse(content="garbage"))
-    backend = CountingBackend()
+    backend = ReplySequenceBackend(["call 1"])
     cache = ResponseCache(tmp_path / "cache")
     gateway = Gateway(backend, cache=cache, sleep=lambda _: None)
     assert gateway.complete(request, _rejecting("garbage")) == "call 1"
@@ -518,20 +496,9 @@ def test_cached_bad_reply_is_resent_and_replaced(tmp_path):
     assert ResponseCache(tmp_path / "cache").get(key).content == "call 1"
 
 
-class LengthBackend:
-    """Answers every request with a reply cut off at ``max_tokens``."""
-
-    def __init__(self):
-        self.sends = 0
-
-    def send(self, request):
-        self.sends += 1
-        return ChatResponse(content=f"cut off {self.sends}", finish_reason="length")
-
-
 def test_complete_rejects_a_truncated_reply_after_one_send_and_caches_nothing(tmp_path):
     request = _request("long answer", max_tokens=64)
-    backend = LengthBackend()
+    backend = ReplySequenceBackend(then=ChatResponse(content="cut off", finish_reason="length"))
     cache = ResponseCache(tmp_path / "cache")
     gateway = Gateway(backend, cache=cache, sleep=lambda _: None)
     with pytest.raises(ParseError, match=r"^Truncated: the reply stopped at max_tokens \(64\)$") as caught:
@@ -545,7 +512,7 @@ def test_complete_rejects_a_truncated_reply_after_one_send_and_caches_nothing(tm
 def test_a_cached_truncated_reply_is_a_miss(tmp_path):
     request = _request("long answer")
     ResponseCache(tmp_path / "cache").put(request_cache_key(request), ChatResponse(content="cut off", finish_reason="length"))
-    backend = CountingBackend()
+    backend = ReplySequenceBackend(["call 1"])
     gateway = Gateway(backend, cache=ResponseCache(tmp_path / "cache"), sleep=lambda _: None)
     assert gateway.complete(request).content == "call 1"
     assert backend.sends == 1

@@ -191,6 +191,13 @@ def test_a_body_nested_too_deeply_is_a_malformed_reply_that_fails_only_its_recor
     assert len(RawHandler.seen) == 1  # a malformed reply is not retried
 
 
+@pytest.mark.parametrize("content", [5, None, ["hi"]], ids=["number", "null", "list"])
+def test_completion_content_that_is_not_text_is_malformed(content, server):
+    ScriptedHandler.script = [(200, _reply(content))]
+    with pytest.raises(MalformedBackendReply, match="^completion content is not text$"):
+        HttpBackend(server).send(_request())
+
+
 @pytest.mark.parametrize(
     "field,value",
     [("usage", 5), ("usage", [11, 7]), ("usage", "11/7"), ("finish_reason", 7), ("finish_reason", ["stop"])],
@@ -279,11 +286,12 @@ def test_temporary_and_permanent_redirects_of_the_post_are_not_followed(status):
 
 
 @pytest.mark.parametrize("status", [301, 302, 303])
-def test_a_followed_redirect_carries_no_credential(status, server):
+def test_a_followed_redirect_carries_no_credential(status, server, monkeypatch):
+    monkeypatch.setenv("TAGEVOL_API_KEY", "sekret")
     ScriptedHandler.script = [(200, _reply("moved"))]
     RedirectHandler.status, RedirectHandler.location, RedirectHandler.seen = status, server, []
     with _serving(RedirectHandler) as url:
-        response = HttpBackend(url, api_key="sekret").send(_request())
+        response = HttpBackend(url).send(_request())
     assert response.content == "moved"
     assert RedirectHandler.seen == ["POST"]
     assert len(ScriptedHandler.seen_headers) == 1

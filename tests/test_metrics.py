@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from helpers import make_records, tagging_reply
+from helpers import ReplySequenceBackend, make_records, tagging_reply
 from tagevol.errors import PreconditionError, StageFailed
-from tagevol.gateway import ChatResponse, Gateway, MockBackend, ResponseCache, prompt_digest, user_message
+from tagevol.gateway import Gateway, MockBackend, ResponseCache, prompt_digest, user_message
 from tagevol.metrics import difficulty, diversity, evaluate_dataset
 from tagevol.tagging import build_tagging_prompt
 
@@ -59,18 +59,6 @@ def test_metrics_are_permutation_invariant():
     assert diversity(sets) == diversity(shuffled)
 
 
-class SequenceBackend:
-    """Pops one reply per send, regardless of prompt."""
-
-    def __init__(self, replies):
-        self.replies = list(replies)
-        self.sends = 0
-
-    def send(self, request):
-        self.sends += 1
-        return ChatResponse(content=self.replies.pop(0))
-
-
 def _tagging_gateway(records, tags_per_record):
     backend = MockBackend()
     for record, tags in zip(records, tags_per_record):
@@ -108,8 +96,10 @@ def test_fifty_samples_with_two_distinct_tags_each():
 def test_sample_size_must_fit_the_dataset():
     records = make_records(10)
     gateway = Gateway(MockBackend(), sleep=lambda _: None)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^sample_size 50 exceeds dataset size 10$"):
         evaluate_dataset(records, gateway, sample_size=50, rng=random.Random(0), model="judge")
+    with pytest.raises(PreconditionError, match="^sample_size must be >= 1$"):
+        evaluate_dataset(records, gateway, sample_size=0, rng=random.Random(0), model="judge")
 
 
 def test_failed_samples_are_dropped_and_recorded():
@@ -130,7 +120,7 @@ def test_failed_samples_are_dropped_and_recorded():
 def test_parse_retry_gets_a_fresh_reply(cached, tmp_path):
     records = make_records(1)
     replies = ["garbage", tagging_reply({"Skill": ["loops", "recursion"]})]
-    backend = SequenceBackend(replies)
+    backend = ReplySequenceBackend(replies)
     cache = ResponseCache(tmp_path / "cache") if cached else None
     gateway = Gateway(backend, max_in_flight=1, cache=cache, sleep=lambda _: None)
     report = evaluate_dataset(records, gateway, sample_size=1, retries=2, model="judge")

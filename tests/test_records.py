@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 
 from tagevol import records
 from tagevol.records import (
+    FLAG_SUBSET_NOT_IN_CANDIDATES,
     FLAG_TAG_ALREADY_PRESENT,
     EvolvedRecord,
     InstructionRecord,
     LoadError,
     WriteError,
     build_manifest,
-    json_text,
     load_dataset,
     merge_rounds,
     read_json,
@@ -31,6 +31,11 @@ from tagevol.records import (
     write_dataset,
     write_json,
 )
+
+
+def _json_oracle(payload) -> str:
+    """The JSON artifact rendering, spelled independently of the library."""
+    return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 
 
 def _write_lines(path, lines):
@@ -131,6 +136,8 @@ def test_a_json_file_nested_deeper_than_the_parser_follows_is_a_load_error(tmp_p
         ("candidate_tags", [["a"]]),
         ("flags", ["a", None]),
         ("flags", [["a"]]),
+        ("id", 5),
+        ("meta", [1]),
     ],
 )
 def test_evolved_field_of_the_wrong_json_type_is_a_load_error(key, value, tmp_path):
@@ -149,6 +156,18 @@ def test_evolved_field_of_the_wrong_json_type_is_a_load_error(key, value, tmp_pa
         load_dataset(path)
     assert excinfo.value.line == 2
     assert repr(key) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("missing", ["parent_id", "round", "budget"])
+def test_an_evolved_record_missing_a_marker_field_is_a_load_error(missing, tmp_path):
+    evolved = {"instruction": "rewritten", "parent_id": "p", "round": 1, "budget": 1, "selected_tags": ["a"], "candidate_tags": ["a"]}
+    del evolved[missing]
+    path = tmp_path / "round.jsonl"
+    _write_lines(path, [json.dumps(evolved)])
+    with pytest.raises(LoadError) as excinfo:
+        load_dataset(path)
+    assert excinfo.value.line == 1
+    assert str(excinfo.value).endswith(f": evolved record missing fields: {missing}")
 
 
 def test_evolved_optional_fields_may_be_absent_or_null(tmp_path):
@@ -376,9 +395,9 @@ def test_merge_empty_rounds_yields_empty():
 def test_merge_prepends_seed_only_when_asked():
     seed = [_mk("s", "seed task")]
     rounds = [[_mk(1, "evolved task")]]
-    assert len(merge_rounds(rounds, seed=seed)) == 1
-    merged = merge_rounds(rounds, include_seed=True, seed=seed)
-    assert [r.id for r in merged] == ["r:s", "r:1"]
+    assert [r.id for r in merge_rounds(rounds)] == ["r:1"]
+    assert [r.id for r in merge_rounds(rounds, seed=seed)] == ["r:s", "r:1"]
+    assert [r.id for r in merge_rounds(rounds, seed=[_mk("s", " evolved  task ")])] == ["r:s"]  # the seed copy wins
 
 
 def test_merge_is_idempotent():
@@ -436,6 +455,31 @@ def test_evolved_record_coherence_enforced_unless_flagged():
         flags=["SubsetSizeMismatch"],
     )
     assert flagged.flags == ["SubsetSizeMismatch"]
+
+
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        ({"parent_id": ""}, "parent_id must be nonempty"),
+        ({"round": 0}, "round must be >= 1"),
+        ({"budget": 0, "selected_tags": []}, "budget must be >= 1"),
+        ({"selected_tags": ["foreign"]}, "selected tags must come from the candidate batch unless flagged"),
+    ],
+    ids=["empty_parent_id", "round_zero", "budget_zero", "foreign_selected_tag"],
+)
+def test_evolved_record_rejects_incoherent_provenance(changes, message):
+    fields = {"id": "e", "instruction": "text here", "parent_id": "p", "round": 1, "budget": 1}
+    fields.update(selected_tags=["a"], candidate_tags=["a", "b"])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        EvolvedRecord(**{**fields, **changes})
+
+
+def test_a_flagged_foreign_selected_tag_is_kept():
+    record = EvolvedRecord(
+        id="e", instruction="text here", parent_id="p", round=1, budget=1,
+        selected_tags=["foreign"], candidate_tags=["a", "b"], flags=[FLAG_SUBSET_NOT_IN_CANDIDATES],
+    )
+    assert record.selected_tags == ["foreign"]
 
 
 def test_write_json_renders_sorted_indented_utf8(tmp_path):
@@ -535,7 +579,7 @@ def test_write_json_writes_in_batches_never_the_whole_text(tmp_path, monkeypatch
     payload = list(range(3 * records._WRITE_BATCH))
     opened = _count_writes(monkeypatch)
     write_json(payload, tmp_path / "report.json")
-    text = json_text(payload)
+    text = _json_oracle(payload)
     assert (tmp_path / "report.json").read_text(encoding="utf-8") == text
     assert 4 <= len(opened[0].sizes) <= 6
     assert max(opened[0].sizes) < len(text) / 2
@@ -555,8 +599,7 @@ longer_than_one_batch = small_documents.map(lambda value: [value] * (records._WR
     batch=st.sampled_from([1, 2, 7, records._WRITE_BATCH]),
 )
 def test_write_json_writes_exactly_json_text(payload, batch):
-    text = json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
-    assert json_text(payload) == text
+    text = _json_oracle(payload)
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(records, "_WRITE_BATCH", batch):
         path = Path(tmp) / "out.json"
         write_json(payload, path)
@@ -612,7 +655,7 @@ def test_a_pipe_is_written_in_place(through_link, tmp_path):
     reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)  # lets the write open the pipe without waiting
     try:
         write_json({"a": 1}, path)
-        assert os.read(reader, 1 << 16) == json_text({"a": 1}).encode("utf-8")
+        assert os.read(reader, 1 << 16) == _json_oracle({"a": 1}).encode("utf-8")
     finally:
         os.close(reader)
     assert stat.S_ISFIFO(os.lstat(pipe).st_mode)

@@ -64,16 +64,6 @@ def test_failures_leave_response_null_and_are_reported():
     assert [f["record_id"] for f in report.failures] == [records[1].id]
 
 
-class FailingBackend:
-    def __init__(self, error):
-        self.error = error
-        self.sends = 0
-
-    def send(self, request):
-        self.sends += 1
-        raise self.error
-
-
 @pytest.mark.parametrize(
     "error,sends",
     [(TransientBackendError("HTTP 503"), 4), (AuthError("HTTP 401"), 1)],
@@ -81,7 +71,7 @@ class FailingBackend:
 )
 def test_backend_failures_get_the_gateway_retries_only(error, sends):
     records = make_records(1)
-    backend = FailingBackend(error)
+    backend = ReplySequenceBackend(then=error)
     gateway = Gateway(backend, retries=3, max_in_flight=1, sleep=lambda _: None)
     filled, report = generate_responses(records, gateway, retries=3, model="mock")
     assert backend.sends == sends

@@ -11,24 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from helpers import make_pool, make_records
+from helpers import ReplySequenceBackend, make_pool, make_records
 from tagevol.cli import RunConfig, build_parser
 from tagevol.errors import TagEvolError
 from tagevol.evolution import evolve_record
-from tagevol.gateway import DEFAULT_RETRIES, ChatResponse, Gateway
+from tagevol.gateway import DEFAULT_RETRIES, Gateway
 from tagevol.metrics import evaluate_dataset
 from tagevol.tagging import build_tag_pool
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-
-
-class AlwaysGarbage:
-    def __init__(self):
-        self.sends = 0
-
-    def send(self, request):
-        self.sends += 1
-        return ChatResponse(content="no markers anywhere")
 
 
 STAGES = {
@@ -42,7 +33,7 @@ STAGES = {
 
 @pytest.mark.parametrize("stage", sorted(STAGES))
 def test_stages_default_to_the_gateway_retry_count(stage):
-    backend = AlwaysGarbage()
+    backend = ReplySequenceBackend(then="no markers anywhere")
     gateway = Gateway(backend, max_in_flight=1, sleep=lambda _: None)
     with pytest.raises(TagEvolError):
         STAGES[stage](make_records(1), gateway)

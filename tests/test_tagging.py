@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import ReplySequenceBackend, SynthesizingBackend, make_pool, make_records, tagging_reply
 from tagevol.evolution import evolve_rounds, sample_candidates
-from tagevol.errors import LoadError, ParseError, PreconditionError, StageFailed
+from tagevol.errors import LoadError, ParseError, StageFailed
 from tagevol.gateway import (
     ChatRequest,
     ChatResponse,
@@ -21,7 +21,7 @@ from tagevol.gateway import (
     request_cache_key,
     user_message,
 )
-from tagevol.records import json_text, read_json
+from tagevol.records import InstructionRecord, read_json
 from tagevol.tagging import (
     POOL_FORMAT_VERSION,
     RejectedTag,
@@ -29,6 +29,7 @@ from tagevol.tagging import (
     TagPool,
     build_tag_pool,
     build_tagging_prompt,
+    extract_balanced,
     load_pool,
     normalize_tag,
     parse_tagging_response,
@@ -38,20 +39,20 @@ from tagevol.tagging import (
 
 
 def test_prompt_contains_template_and_instruction_verbatim():
-    prompt = build_tagging_prompt("Reverse the string given in the input")
+    prompt = build_tagging_prompt(InstructionRecord("r:1", "Reverse the string given in the input"))
     assert "You are a tagging system" in prompt
     assert "#Task Reverse the string given in the input" in prompt
     assert "#Aspect2Tags#" in prompt
 
 
 def test_prompt_preserves_braces_in_instruction():
-    prompt = build_tagging_prompt('print("{}") twice')
+    prompt = build_tagging_prompt(InstructionRecord("r:1", 'print("{}") twice'))
     assert 'print("{}") twice' in prompt
 
 
 def test_empty_instruction_rejected():
-    with pytest.raises(PreconditionError):
-        build_tagging_prompt("   ")
+    with pytest.raises(ValueError, match="instruction must be nonempty"):
+        InstructionRecord("r:1", "   ")
 
 
 def test_parse_reads_object_after_final_marker():
@@ -106,6 +107,31 @@ def test_literal_that_python_cannot_build_is_bad_object(payload):
     with pytest.raises(ParseError) as excinfo:
         parse_tagging_response("#Aspect2Tags#\n" + payload)
     assert excinfo.value.reason == "BadObject"
+
+
+def test_a_tag_payload_that_is_not_an_object_is_bad_object():
+    # Not JSON, but a Python set literal: it parses, and is not a mapping.
+    with pytest.raises(ParseError, match="^BadObject: tag payload is not an object$"):
+        parse_tagging_response('#Aspect2Tags#\n{"skill", "topic"}')
+
+
+def test_parse_takes_a_text_value_as_one_tag_and_skips_a_value_that_is_not_a_list():
+    text = '#Aspect2Tags#\n{"Skill": "recursion", "Level": 3, "Topic": {"x": 1}, "Domain": ["trees"]}'
+    assert parse_tagging_response(text) == {"Skill": ["recursion"], "Domain": ["trees"]}
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ('x {"a": "b\\"}", "c": 1} y', '{"a": "b\\"}", "c": 1}'),
+        ("x {'a': 'it\\'s }', 'c': 1} y", "{'a': 'it\\'s }', 'c': 1}"),
+        ("x {'a': {'b': 1}", None),
+        ("no bracket here", None),
+    ],
+    ids=["escaped_double_quote", "escaped_single_quote", "never_closes", "never_opens"],
+)
+def test_extract_balanced_skips_escaped_quotes_and_needs_a_closing_bracket(text, expected):
+    assert extract_balanced(text, "{", "}") == expected
 
 
 def test_parse_uses_last_marker():
@@ -371,7 +397,7 @@ def test_a_large_saved_pool_is_exactly_json_text_of_its_payload(large_pool, tmp_
     path = tmp_path / "pool.json"
     save_pool(large_pool, path)
     text = path.read_text(encoding="utf-8")
-    assert text == json_text(read_json(path))
+    assert text == json.dumps(read_json(path), ensure_ascii=False, indent=2, sort_keys=True) + "\n"
     assert len(read_json(path)["entries"]) == large_pool.entry_count > 6000
 
 

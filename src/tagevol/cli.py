@@ -274,10 +274,10 @@ def cmd_respond(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_merge(args: argparse.Namespace, config: RunConfig) -> int:
     rounds = [load_dataset(path) for path in args.rounds]
-    seed = load_dataset(args.seed_dataset) if args.seed_dataset else None
-    if args.include_seed and seed is None:
+    if args.include_seed and not args.seed_dataset:
         raise PreconditionError("--include-seed requires --seed-dataset")
-    merged = merge_rounds(rounds, seed=seed if args.include_seed else ())
+    seed = load_dataset(args.seed_dataset) if args.include_seed else ()
+    merged = merge_rounds(rounds, seed=seed)
     write_dataset(merged, args.out)
     sources = [str(p) for p in args.rounds]
     if args.include_seed:

@@ -343,12 +343,19 @@ def dump_json(payload, fh) -> None:
     fh.write("\n")
 
 
-def read_json(path: str | Path):
-    """Parse a UTF-8 JSON file, or raise :class:`LoadError` (also for a lone surrogate); every whole-file JSON input is read here."""
+def read_json(path: str | Path, object_hook=None):
+    """Parse a UTF-8 JSON file, or raise :class:`LoadError` (also for a lone surrogate); every whole-file JSON input is read here.
+
+    ``object_hook`` is passed to ``json.loads``: what it returns for each
+    parsed object takes that object's place, so a caller can keep its own
+    types without a parsed copy beside them.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
-        value = json.loads(text)
-        _reject_surrogates(path, 0, text, value)
+        value = json.loads(text, object_hook=object_hook)
+        if _SURROGATE_ESCAPE.search(text):
+            # What a hook returns need not serialize, so the check reads a plain parse.
+            _reject_surrogates(path, 0, text, value if object_hook is None else json.loads(text))
     except (OSError, ValueError, RecursionError) as err:
         raise LoadError(path, 0, f"cannot read JSON: {err}") from err
     return value

@@ -13,6 +13,7 @@ import ast
 import json
 import logging
 import re
+import sys
 import unicodedata
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -186,25 +187,44 @@ def normalized_tags(raw_tags: Iterable) -> Iterator[tuple[str, str]]:
             continue
 
 
-@dataclass
+@dataclass(slots=True)
 class TagEntry:
-    """One normalized tag under one normalized aspect, with bookkeeping."""
+    """One normalized tag under one normalized aspect, with bookkeeping.
+
+    ``surface_forms`` and ``sources`` are sorted tuples without repeats, the
+    order :func:`save_pool` writes.
+    """
 
     tag: str
     aspect: str
-    surface_forms: set[str] = field(default_factory=set)
-    sources: set[str] = field(default_factory=set)
+    surface_forms: tuple[str, ...] = ()
+    sources: tuple[str, ...] = ()
     count: int = 0
+
+
+def _sorted_union(old: tuple[str, ...], new: set[str], tag: str | None = None) -> tuple[str, ...]:
+    """``old``, sorted without repeats, with ``new`` merged in, in the same form.
+
+    An item equal to ``tag`` is ``tag`` itself, so a surface form spelled as
+    its tag costs no second string. Linear in ``old`` for a small ``new``.
+    """
+    fresh = new.difference(old)
+    if not fresh:
+        return old
+    if tag in fresh:
+        fresh.discard(tag)
+        fresh.add(tag)
+    return tuple(sorted((*old, *fresh)))
 
 
 @dataclass
 class TagPool:
     """Merged tag collection keyed by (aspect, tag).
 
-    :meth:`add` is the only mutator: pass every entry to the constructor or
-    add it, never write into ``entries`` directly. The sampling space
-    (:meth:`distinct_tags`) is computed once per pool and refreshed only when
-    ``add`` creates a new ``(aspect, tag)`` entry.
+    :meth:`add` is the only public mutator: pass every entry to the
+    constructor or add it, never write into ``entries`` directly. The sampling
+    space (:meth:`distinct_tags`) is computed once per pool and refreshed only
+    when a new ``(aspect, tag)`` entry is created.
     """
 
     entries: dict[tuple[str, str], TagEntry] = field(default_factory=dict)
@@ -213,19 +233,29 @@ class TagPool:
     _distinct_tags: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def add(self, aspect: str, tag: str, surface: str, source: str) -> None:
-        entry = self.entries.get((aspect, tag))
-        if entry is None:
-            entry = TagEntry(tag=tag, aspect=aspect)
-            self.entries[(aspect, tag)] = entry
-            self._distinct_tags = None
-        entry.surface_forms.add(surface)
-        entry.sources.add(source)
-        entry.count += 1
+        """Record one observation of ``tag`` under ``aspect``; O(k) for an entry holding k forms or sources."""
+        self._merge({(aspect, tag): [{surface}, {source}, 1]})
+
+    def _merge(self, observed: dict[tuple[str, str], list]) -> None:
+        """Merge observations: per ``(aspect, tag)``, the set of surface forms seen, the set of sources and a count.
+
+        Tags and aspects are interned (``sys.intern``): the same few aspects
+        and every tag the pool samples are one string each across entries.
+        """
+        for (aspect, tag), (surfaces, sources, count) in observed.items():
+            entry = self.entries.get((aspect, tag))
+            if entry is None:
+                entry = TagEntry(tag=sys.intern(tag), aspect=sys.intern(aspect))
+                self.entries[(entry.aspect, entry.tag)] = entry
+                self._distinct_tags = None
+            entry.surface_forms = _sorted_union(entry.surface_forms, surfaces, entry.tag)
+            entry.sources = _sorted_union(entry.sources, sources)
+            entry.count += count
 
     def distinct_tags(self) -> tuple[str, ...]:
         """Distinct tag strings ignoring aspect, sorted; the sampling space.
 
-        Built on first use and kept until :meth:`add` creates a new entry, so
+        Built on first use and kept until a new entry is created, so
         every sample from an unchanged pool reuses the same tuple.
         """
         if self._distinct_tags is None:
@@ -307,9 +337,12 @@ def build_tag_pool(
     already retried transient backend failures. A record that still fails
     (a :class:`RecordError`) is recorded in the report, not fatal. Merging
     runs single-threaded over the outcomes in input order, so the pool is
-    deterministic for a deterministic backend. An empty ``records`` raises
-    :class:`PreconditionError` before any send; no usable tag at all raises
-    :class:`StageFailed`.
+    deterministic for a deterministic backend. It is one pass: a set per
+    ``(aspect, tag)`` gathers every observation, and each entry's sorted
+    tuples are built once at the end, so a tag seen in k records costs
+    O(k log k), not the O(k^2) of k :meth:`TagPool.add` calls. An empty
+    ``records`` raises :class:`PreconditionError` before any send; no usable
+    tag at all raises :class:`StageFailed`.
     """
     records = list(records)
     if not records:
@@ -321,8 +354,8 @@ def build_tag_pool(
         records,
     )
 
-    pool = TagPool(model=model)
     report = TagPoolBuildReport(total_records=len(records), failures=failures)
+    observed: dict[tuple[str, str], list] = {}
     for record, outcome in zip(records, outcomes):
         if outcome is None:
             continue
@@ -332,20 +365,27 @@ def build_tag_pool(
             report.preambles[record.id] = preamble
         for aspect_raw, aspect in normalized_tags(parsed):
             for tag_raw, tag in normalized_tags(parsed[aspect_raw]):
-                pool.add(aspect, tag, surface=tag_raw, source=record.id)
+                seen = observed.get((aspect, tag))
+                if seen is None:
+                    seen = observed[(aspect, tag)] = [set(), set(), 0]
+                seen[0].add(tag_raw)
+                seen[1].add(record.id)
+                seen[2] += 1
+    pool = TagPool(model=model)
+    pool._merge(observed)
     if not pool.entries:
         raise StageFailed(f"no usable tags from {len(records)} records ({len(report.failures)} record failures)")
     return pool, report
 
 
 def save_pool(pool: TagPool, path: str | Path) -> None:
-    """Persist a pool as JSON; sets become sorted lists so saves are stable."""
+    """Persist a pool as JSON, entries sorted by ``(aspect, tag)``, so saves are stable."""
     entries = [
         {
             "tag": entry.tag,
             "aspect": entry.aspect,
-            "surface_forms": sorted(entry.surface_forms),
-            "sources": sorted(entry.sources),
+            "surface_forms": entry.surface_forms,
+            "sources": entry.sources,
             "count": entry.count,
         }
         for (_, _), entry in sorted(pool.entries.items())
@@ -359,6 +399,84 @@ def save_pool(pool: TagPool, path: str | Path) -> None:
     write_json(payload, path)
 
 
+_ENTRY_KEYS = frozenset(("tag", "aspect", "surface_forms", "sources", "count"))
+
+
+def _entry_from_json(item) -> TagEntry:
+    """One parsed pool entry; fields are checked, never coerced (TypeError or ValueError).
+
+    Lists become sorted tuples without repeats. Tags and aspects are interned,
+    as :meth:`TagPool.add` interns them.
+    """
+    if not isinstance(item, dict):
+        raise TypeError(f"entry is not an object: {json.dumps(item, ensure_ascii=False)}")
+    tag = sys.intern(_checked(item, "tag", _is_str, "a string"))
+    return TagEntry(
+        tag=tag,
+        aspect=sys.intern(_checked(item, "aspect", _is_str, "a string")),
+        surface_forms=_sorted_union((), set(_checked(item, "surface_forms", _is_str_list, "a list of strings")), tag),
+        sources=_sorted_union((), set(_checked(item, "sources", _is_str_list, "a list of strings"))),
+        count=_checked(item, "count", _is_int, "an integer"),
+    )
+
+
+def _entry_to_json(entry: TagEntry) -> dict:
+    """The object that :func:`_entry_or_object` parsed ``entry`` from."""
+    return {
+        "tag": entry.tag,
+        "aspect": entry.aspect,
+        "surface_forms": list(entry.surface_forms),
+        "sources": list(entry.sources),
+        "count": entry.count,
+    }
+
+
+def _is_sorted_set(items) -> bool:
+    """True for a list of strings, ascending without repeats: what :func:`save_pool` writes."""
+    return _is_str_list(items) and all(map(str.__lt__, items, items[1:]))
+
+
+def _entry_or_object(obj: dict):
+    """Parse hook: an object exactly as :func:`save_pool` writes an entry becomes that entry.
+
+    "Exactly" means the five entry keys and no other, well-typed values, and
+    sorted lists without repeats, so the entry holds all the object did and
+    :func:`_entry_to_json` gives it back. Any other object stays as parsed,
+    for :func:`load_pool` to check with :func:`_entry_from_json`.
+    """
+    if obj.keys() != _ENTRY_KEYS:
+        return obj
+    tag, aspect, forms, sources, count = obj["tag"], obj["aspect"], obj["surface_forms"], obj["sources"], obj["count"]
+    if not (_is_str(tag) and _is_str(aspect) and _is_int(count) and _is_sorted_set(forms) and _is_sorted_set(sources)):
+        return obj
+    tag = sys.intern(tag)
+    if tag in forms:
+        forms[forms.index(tag)] = tag
+    return TagEntry(tag, sys.intern(aspect), tuple(forms), tuple(sources), count)
+
+
+def _restore_objects(payload):
+    """``payload`` with each entry the parse hook built turned back into its object, but for the items of its ``entries``.
+
+    So only the ``entries`` list keeps the hook's entries, and every other
+    value, such as ``built_from``, reads as parsed. Changes ``payload`` in
+    place where it can, without recursion.
+    """
+    if isinstance(payload, TagEntry):
+        return _entry_to_json(payload)
+    keep = payload.get("entries") if isinstance(payload, dict) else None
+    stack = [payload] if isinstance(payload, (dict, list)) else []
+    while stack:
+        node = stack.pop()
+        for key, item in node.items() if isinstance(node, dict) else enumerate(node):
+            if isinstance(item, TagEntry):
+                if node is not keep:
+                    node[key] = _entry_to_json(item)
+            elif isinstance(item, (dict, list)):
+                stack.append(item)
+    return payload
+
+
 def load_pool(path: str | Path) -> TagPool:
     """Load a pool saved by :func:`save_pool`; lossless round trip.
 
@@ -368,11 +486,12 @@ def load_pool(path: str | Path) -> TagPool:
     entry, a ``model`` that is not a string and a ``built_from`` that is
     neither an object nor null (the last four :func:`save_pool` never writes).
 
-    The parsed ``entries`` list is converted in place, each slot dropped once
-    its entry is built, so the load peaks at about the size of the pool it
-    returns, not the pool plus its parsed JSON.
+    Each entry is built while the JSON is parsed (a ``json`` object hook), so
+    no parsed payload sits beside the pool and the load peaks at the file text
+    plus the pool it returns. An object outside ``entries`` that looks like an
+    entry, in ``built_from`` say, comes back as the object it was.
     """
-    payload = read_json(path)
+    payload = _restore_objects(read_json(path, object_hook=_entry_or_object))
     if not isinstance(payload, dict):
         raise LoadError(path, 0, "expected a JSON object")
     if payload.get("version") != POOL_FORMAT_VERSION:
@@ -384,20 +503,11 @@ def load_pool(path: str | Path) -> TagPool:
     try:
         model = _checked(payload, "model", _is_str, "a string", "")
         built_from = _checked(payload, "built_from", lambda v: v is None or isinstance(v, dict), "an object or null")
-        for index, item in enumerate(items):
-            if not isinstance(item, dict):
-                raise TypeError(f"entry is not an object: {json.dumps(item, ensure_ascii=False)}")
-            entry = TagEntry(
-                tag=_checked(item, "tag", _is_str, "a string"),
-                aspect=_checked(item, "aspect", _is_str, "a string"),
-                surface_forms=set(_checked(item, "surface_forms", _is_str_list, "a list of strings")),
-                sources=set(_checked(item, "sources", _is_str_list, "a list of strings")),
-                count=_checked(item, "count", _is_int, "an integer"),
-            )
+        for item in items:
+            entry = item if isinstance(item, TagEntry) else _entry_from_json(item)
             if (entry.aspect, entry.tag) in entries:
                 raise ValueError(f"repeated entry for aspect {entry.aspect!r}, tag {entry.tag!r}")
             entries[(entry.aspect, entry.tag)] = entry
-            items[index] = None
     except (TypeError, ValueError) as err:
         raise LoadError(path, 0, f"malformed pool: {err}") from err
     return TagPool(entries=entries, model=model, built_from=built_from)

@@ -9,7 +9,7 @@ import pytest
 from helpers import build_pipeline_script, make_pool, make_records, run_python, write_script
 from tagevol.cli import EXIT_BACKEND, EXIT_INPUT, EXIT_OK, EXIT_PRECONDITION, main
 from tagevol.gateway import HttpBackend, MockBackend, request_cache_key
-from tagevol.records import InstructionRecord, load_dataset, write_dataset
+from tagevol.records import InstructionRecord, load_dataset, manifest_path, write_dataset
 from tagevol.tagging import save_pool
 
 
@@ -241,6 +241,19 @@ def test_merge_include_seed_prepends_the_seed_dataset(tmp_path, capsys):
     assert code == EXIT_OK
     merged = load_dataset(merged_path)
     assert [r.id for r in merged] == ["seed:0", "seed:1", "e:0"]
+
+
+def test_merge_without_include_seed_never_reads_the_seed_dataset(tmp_path, capsys):
+    round_path = tmp_path / "round.jsonl"
+    write_dataset(make_records(2), round_path)
+    bad_seed = tmp_path / "bad.jsonl"
+    bad_seed.write_text("{not json\n", encoding="utf-8")
+    plain, with_seed = tmp_path / "plain" / "m.jsonl", tmp_path / "with_seed" / "m.jsonl"
+    for out, extra in [(plain, []), (with_seed, ["--seed-dataset", str(bad_seed)])]:
+        out.parent.mkdir()
+        assert main(["merge", str(round_path), "--out", str(out), *extra]) == EXIT_OK
+    assert with_seed.read_bytes() == plain.read_bytes()
+    assert manifest_path(with_seed).read_bytes() == manifest_path(plain).read_bytes()
 
 
 def test_merge_include_seed_requires_the_seed_path(tmp_path, capsys):
@@ -793,7 +806,10 @@ def test_every_record_failing_exits_3_with_one_json_line(command, tmp_path, caps
         assert not out.exists()
 
 
-@pytest.mark.parametrize("case", ["tag_seed", "respond_seed", "evolve_pool_tag", "config_model", "model_flag"])
+@pytest.mark.parametrize(
+    "case",
+    ["tag_seed", "respond_seed", "evolve_pool_tag", "evolve_pool_surface", "evolve_pool_source", "config_model", "model_flag"],
+)
 def test_a_lone_surrogate_in_any_input_exits_2_before_any_send(case, tmp_path, capsys, sends):
     _, seed_path, script_path = _prepare(tmp_path, budgets=(1,))
     pool_path = tmp_path / "pool.json"
@@ -802,9 +818,13 @@ def test_a_lone_surrogate_in_any_input_exits_2_before_any_send(case, tmp_path, c
     sends.clear()
     bad_seed = tmp_path / "bad.jsonl"
     bad_seed.write_text('{"instruction": "explain x\\ud800y please in words"}\n', encoding="utf-8")
-    if case == "evolve_pool_tag":
+    if case.startswith("evolve_pool_"):
         pool = json.loads(pool_path.read_text(encoding="utf-8"))
-        pool["entries"][0]["tag"] = "\ud800"
+        entry = pool["entries"][0]
+        if case == "evolve_pool_tag":
+            entry["tag"] = "\ud800"
+        else:
+            entry[{"evolve_pool_surface": "surface_forms", "evolve_pool_source": "sources"}[case]].append("\ud800")
         pool_path.write_text(json.dumps(pool), encoding="utf-8")
     config_path = tmp_path / "config.json"
     config_path.write_text('{"model": "m\\ud800"}', encoding="utf-8")
@@ -813,6 +833,8 @@ def test_a_lone_surrogate_in_any_input_exits_2_before_any_send(case, tmp_path, c
         "tag_seed": ["tag", str(bad_seed), "--out", str(out)],
         "respond_seed": ["respond", str(bad_seed), "--out", str(out)],
         "evolve_pool_tag": ["evolve", str(seed_path), str(pool_path), str(out), "--budgets", "1"],
+        "evolve_pool_surface": ["evolve", str(seed_path), str(pool_path), str(out), "--budgets", "1"],
+        "evolve_pool_source": ["evolve", str(seed_path), str(pool_path), str(out), "--budgets", "1"],
         "config_model": ["tag", str(seed_path), "--out", str(out), "--config", str(config_path)],
         # Python decodes a non-UTF-8 argv byte such as --model $'m\xff' to a lone surrogate.
         "model_flag": ["tag", str(seed_path), "--out", str(out), "--model", "m\udcff"],

@@ -17,7 +17,7 @@ import random
 import sys
 import types
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import LoadError, PreconditionError, StageFailed, TagEvolError, WriteError
@@ -93,7 +93,6 @@ class RunConfig:
         return asdict(self)
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 _CONFIG_TYPES = typing.get_type_hints(RunConfig)
 
 
@@ -120,7 +119,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         loaded = read_json(path)
         if not isinstance(loaded, dict):
             raise LoadError(path, 0, "config must be a JSON object")
-        unknown = set(loaded) - _CONFIG_KEYS
+        unknown = set(loaded) - _CONFIG_TYPES.keys()
         if unknown:
             raise LoadError(path, 0, f"unknown config keys: {', '.join(sorted(unknown))}")
         for key, value in sorted(loaded.items()):
@@ -133,8 +132,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             values[key] = float(value) if hint is float else value
     # Flags share their config field's name; None means "not given", and --budgets is weighed against
     # --preset in cmd_evolve. Only model and endpoint text reaches a request; a path may hold any byte.
-    for key in _CONFIG_KEYS - {"budgets"}:
-        flag_value = getattr(args, key, None)
+    # Flags are read in field order, so the same bad command line names the same flag in every run.
+    for key in _CONFIG_TYPES:
+        flag_value = None if key == "budgets" else getattr(args, key, None)
         if key in ("model", "endpoint") and flag_value is not None and not _is_unicode(flag_value):
             raise LoadError("command line", 0, f"--{key} holds a lone UTF-16 surrogate, which UTF-8 cannot encode")
         if flag_value is not None:
@@ -273,9 +273,9 @@ def cmd_respond(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_merge(args: argparse.Namespace, config: RunConfig) -> int:
-    rounds = [load_dataset(path) for path in args.rounds]
     if args.include_seed and not args.seed_dataset:
         raise PreconditionError("--include-seed requires --seed-dataset")
+    rounds = [load_dataset(path) for path in args.rounds]
     seed = load_dataset(args.seed_dataset) if args.include_seed else ()
     merged = merge_rounds(rounds, seed=seed)
     write_dataset(merged, args.out)

@@ -378,76 +378,42 @@ def build_tag_pool(
     return pool, report
 
 
+_ENTRY_FIELDS = {
+    "tag": (_is_str, "a string"),
+    "aspect": (_is_str, "a string"),
+    "surface_forms": (_is_str_list, "a list of strings"),
+    "sources": (_is_str_list, "a list of strings"),
+    "count": (_is_int, "an integer"),
+}
+"""The pool-entry schema: each key ``save_pool`` writes, with its check and the type its error names."""
+
+
 def save_pool(pool: TagPool, path: str | Path) -> None:
     """Persist a pool as JSON, entries sorted by ``(aspect, tag)``, so saves are stable."""
-    entries = [
-        {
-            "tag": entry.tag,
-            "aspect": entry.aspect,
-            "surface_forms": entry.surface_forms,
-            "sources": entry.sources,
-            "count": entry.count,
-        }
-        for (_, _), entry in sorted(pool.entries.items())
-    ]
     payload = {
         "version": POOL_FORMAT_VERSION,
         "model": pool.model,
         "built_from": pool.built_from,
-        "entries": entries,
+        "entries": [{key: getattr(entry, key) for key in _ENTRY_FIELDS} for _, entry in sorted(pool.entries.items())],
     }
     write_json(payload, path)
-
-
-_ENTRY_KEYS = frozenset(("tag", "aspect", "surface_forms", "sources", "count"))
-
-
-def _entry_from_json(item) -> TagEntry:
-    """One parsed pool entry; fields are checked, never coerced (TypeError or ValueError).
-
-    Lists become sorted tuples without repeats. Tags and aspects are interned,
-    as :meth:`TagPool.add` interns them.
-    """
-    if not isinstance(item, dict):
-        raise TypeError(f"entry is not an object: {json.dumps(item, ensure_ascii=False)}")
-    tag = sys.intern(_checked(item, "tag", _is_str, "a string"))
-    return TagEntry(
-        tag=tag,
-        aspect=sys.intern(_checked(item, "aspect", _is_str, "a string")),
-        surface_forms=_sorted_union((), set(_checked(item, "surface_forms", _is_str_list, "a list of strings")), tag),
-        sources=_sorted_union((), set(_checked(item, "sources", _is_str_list, "a list of strings"))),
-        count=_checked(item, "count", _is_int, "an integer"),
-    )
-
-
-def _entry_to_json(entry: TagEntry) -> dict:
-    """The object that :func:`_entry_or_object` parsed ``entry`` from."""
-    return {
-        "tag": entry.tag,
-        "aspect": entry.aspect,
-        "surface_forms": list(entry.surface_forms),
-        "sources": list(entry.sources),
-        "count": entry.count,
-    }
-
-
-def _is_sorted_set(items) -> bool:
-    """True for a list of strings, ascending without repeats: what :func:`save_pool` writes."""
-    return _is_str_list(items) and all(map(str.__lt__, items, items[1:]))
 
 
 def _entry_or_object(obj: dict):
     """Parse hook: an object exactly as :func:`save_pool` writes an entry becomes that entry.
 
-    "Exactly" means the five entry keys and no other, well-typed values, and
-    sorted lists without repeats, so the entry holds all the object did and
-    :func:`_entry_to_json` gives it back. Any other object stays as parsed,
-    for :func:`load_pool` to check with :func:`_entry_from_json`.
+    "Exactly" means the keys of ``_ENTRY_FIELDS`` and no other, well-typed
+    values, and sorted lists without repeats, so the entry holds all the
+    object did and :func:`_as_parsed` gives it back. Any other object stays
+    as parsed, for :func:`load_pool` to check field by field.
     """
-    if obj.keys() != _ENTRY_KEYS:
+    if obj.keys() != _ENTRY_FIELDS.keys():
         return obj
     tag, aspect, forms, sources, count = obj["tag"], obj["aspect"], obj["surface_forms"], obj["sources"], obj["count"]
-    if not (_is_str(tag) and _is_str(aspect) and _is_int(count) and _is_sorted_set(forms) and _is_sorted_set(sources)):
+    # Written out, not read from the table: this runs once per object in the file.
+    if not (_is_str(tag) and _is_str(aspect) and _is_int(count) and _is_str_list(forms) and _is_str_list(sources)):
+        return obj
+    if not (all(map(str.__lt__, forms, forms[1:])) and all(map(str.__lt__, sources, sources[1:]))):
         return obj
     tag = sys.intern(tag)
     if tag in forms:
@@ -455,26 +421,10 @@ def _entry_or_object(obj: dict):
     return TagEntry(tag, sys.intern(aspect), tuple(forms), tuple(sources), count)
 
 
-def _restore_objects(payload):
-    """``payload`` with each entry the parse hook built turned back into its object, but for the items of its ``entries``.
-
-    So only the ``entries`` list keeps the hook's entries, and every other
-    value, such as ``built_from``, reads as parsed. Changes ``payload`` in
-    place where it can, without recursion.
-    """
-    if isinstance(payload, TagEntry):
-        return _entry_to_json(payload)
-    keep = payload.get("entries") if isinstance(payload, dict) else None
-    stack = [payload] if isinstance(payload, (dict, list)) else []
-    while stack:
-        node = stack.pop()
-        for key, item in node.items() if isinstance(node, dict) else enumerate(node):
-            if isinstance(item, TagEntry):
-                if node is not keep:
-                    node[key] = _entry_to_json(item)
-            elif isinstance(item, (dict, list)):
-                stack.append(item)
-    return payload
+def _as_parsed(value):
+    """``value`` with each entry the parse hook built turned back into its object. The default is not
+    ``asdict``, whose nested calls would fail on an entry nested near the parser's limit."""
+    return json.loads(json.dumps(value, default=lambda entry: {key: getattr(entry, key) for key in _ENTRY_FIELDS}))
 
 
 def load_pool(path: str | Path) -> TagPool:
@@ -488,26 +438,36 @@ def load_pool(path: str | Path) -> TagPool:
 
     Each entry is built while the JSON is parsed (a ``json`` object hook), so
     no parsed payload sits beside the pool and the load peaks at the file text
-    plus the pool it returns. An object outside ``entries`` that looks like an
-    entry, in ``built_from`` say, comes back as the object it was.
+    plus the pool it returns. Any other item of ``entries`` is checked field
+    by field (extra keys ignored, lists sorted without repeats) and built by
+    the same hook. Everything outside ``entries`` reads as parsed, an object
+    that looks like an entry, in ``built_from`` say, included.
     """
-    payload = _restore_objects(read_json(path, object_hook=_entry_or_object))
-    if not isinstance(payload, dict):
-        raise LoadError(path, 0, "expected a JSON object")
-    if payload.get("version") != POOL_FORMAT_VERSION:
-        raise LoadError(path, 0, f"unsupported pool version {payload.get('version')!r}")
-    items = payload.get("entries")
-    if not isinstance(items, list):
-        raise LoadError(path, 0, f"malformed pool: 'entries' must be a list, got {type(items).__name__}")
-    entries: dict[tuple[str, str], TagEntry] = {}
+    payload = read_json(path, object_hook=_entry_or_object)
+    items = payload.pop("entries", None) if isinstance(payload, dict) else None
     try:
+        payload = _as_parsed(payload)
+        if not isinstance(payload, dict):
+            raise LoadError(path, 0, "expected a JSON object")
+        if payload.get("version") != POOL_FORMAT_VERSION:
+            raise LoadError(path, 0, f"unsupported pool version {payload.get('version')!r}")
+        if not isinstance(items, list):
+            raise LoadError(path, 0, f"malformed pool: 'entries' must be a list, got {type(_as_parsed(items)).__name__}")
         model = _checked(payload, "model", _is_str, "a string", "")
         built_from = _checked(payload, "built_from", lambda v: v is None or isinstance(v, dict), "an object or null")
+        entries: dict[tuple[str, str], TagEntry] = {}
         for item in items:
-            entry = item if isinstance(item, TagEntry) else _entry_from_json(item)
-            if (entry.aspect, entry.tag) in entries:
-                raise ValueError(f"repeated entry for aspect {entry.aspect!r}, tag {entry.tag!r}")
-            entries[(entry.aspect, entry.tag)] = entry
-    except (TypeError, ValueError) as err:
+            if not isinstance(item, TagEntry):
+                item = _as_parsed(item)
+                if not isinstance(item, dict):
+                    raise TypeError(f"entry is not an object: {json.dumps(item, ensure_ascii=False)}")
+                fields = {key: _checked(item, key, ok, expected) for key, (ok, expected) in _ENTRY_FIELDS.items()}
+                fields["surface_forms"] = sorted(set(fields["surface_forms"]))
+                fields["sources"] = sorted(set(fields["sources"]))
+                item = _entry_or_object(fields)
+            if (item.aspect, item.tag) in entries:
+                raise ValueError(f"repeated entry for aspect {item.aspect!r}, tag {item.tag!r}")
+            entries[(item.aspect, item.tag)] = item
+    except (TypeError, ValueError, RecursionError) as err:
         raise LoadError(path, 0, f"malformed pool: {err}") from err
     return TagPool(entries=entries, model=model, built_from=built_from)

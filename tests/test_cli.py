@@ -263,6 +263,13 @@ def test_merge_include_seed_requires_the_seed_path(tmp_path, capsys):
     assert code == EXIT_PRECONDITION
 
 
+def test_merge_include_seed_without_the_seed_path_exits_4_before_reading_a_round(tmp_path, capsys):
+    code = main(["merge", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "m.jsonl"), "--include-seed"])
+    assert code == EXIT_PRECONDITION
+    assert json.loads(capsys.readouterr().err)["error"] == "precondition_error"
+    assert not (tmp_path / "m.jsonl").exists()
+
+
 def test_leakage_out_flag_writes_the_report(tmp_path, capsys):
     synth_path = tmp_path / "synth.jsonl"
     synth_path.write_text(json.dumps({"instruction": "x y z"}) + "\n", encoding="utf-8")
@@ -872,6 +879,20 @@ def test_a_path_flag_with_a_non_utf8_byte_still_works(flag, tmp_path, capsys):
 def _cli_process(*argv) -> subprocess.CompletedProcess:
     """``tagevol`` in a fresh interpreter with logging unconfigured, as a shell runs it."""
     return run_python("-m", "tagevol.cli", *map(str, argv))
+
+
+@pytest.mark.skipif(os.name != "posix", reason="argv text is bytes only on POSIX")
+def test_two_bad_text_flags_name_the_same_flag_under_any_hash_seed(tmp_path, monkeypatch):
+    write_dataset(make_records(1), tmp_path / "seed.jsonl")
+    # An argument "m\udcff" reaches the child's argv as the byte 0xff, which it decodes back to \udcff.
+    argv = ["tag", tmp_path / "seed.jsonl", "--out", tmp_path / "pool.json", "--model", "m\udcff", "--endpoint", "e\udcff"]
+    runs = []
+    for hash_seed in ("0", "1"):
+        monkeypatch.setenv("PYTHONHASHSEED", hash_seed)
+        runs.append(_cli_process(*argv))
+    assert [run.returncode for run in runs] == [EXIT_INPUT, EXIT_INPUT]
+    assert runs[0].stderr == runs[1].stderr
+    assert "--endpoint holds a lone UTF-16 surrogate" in json.loads(runs[0].stderr)["message"]
 
 
 def test_a_failed_run_puts_its_warnings_into_its_one_stderr_line(tmp_path):

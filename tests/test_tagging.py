@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -409,6 +410,35 @@ def test_an_entry_shaped_object_in_the_wrong_place_keeps_todays_error(tmp_path):
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(LoadError, match=re.escape(message)):
             load_pool(path)
+
+
+def test_a_non_object_entry_is_named_as_parsed(tmp_path):
+    path = tmp_path / "pool.json"
+    path.write_text(_pool_text([GOOD_POOL_ENTRY]), encoding="utf-8")
+    with pytest.raises(LoadError, match=re.escape(f"entry is not an object: {json.dumps([GOOD_POOL_ENTRY])}")):
+        load_pool(path)
+
+
+@pytest.mark.parametrize("innermost", [GOOD_POOL_ENTRY, 1])
+def test_built_from_loads_as_deep_as_the_parser_reads_and_one_level_deeper_is_a_load_error(innermost, tmp_path):
+    path = tmp_path / "pool.json"
+    # Written as text: json.dumps itself stops near the interpreter's recursion limit.
+    head, tail = '{"version": %d, "model": "m", "entries": [], "built_from": {"x": ' % POOL_FORMAT_VERSION, "}}"
+    loaded = 0
+    for depth in range(sys.getrecursionlimit() // 2, 2 * sys.getrecursionlimit()):
+        path.write_text(head + "[" * depth + json.dumps(innermost) + "]" * depth + tail, encoding="utf-8")
+        try:
+            value = load_pool(path).built_from["x"]
+        except LoadError as err:
+            # The first depth that fails is one the parser refuses, never one it read.
+            assert "cannot read JSON: maximum recursion depth exceeded" in str(err)
+            break
+        for _ in range(depth):
+            assert isinstance(value, list) and len(value) == 1
+            value = value[0]
+        assert value == innermost
+        loaded = depth
+    assert loaded == depth - 1 > sys.getrecursionlimit() // 2
 
 
 def test_an_entry_with_an_extra_key_or_unsorted_lists_still_loads(tmp_path):

@@ -295,9 +295,11 @@ def cmd_merge(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_leakage(args: argparse.Namespace, config: RunConfig) -> int:
     synth = load_dataset(args.dataset)
+    benches = [(bench_path, load_dataset(bench_path)) for bench_path in args.benchmarks]
+    if args.out:
+        _check_out_path(args.out)
     reports = []
-    for bench_path in args.benchmarks:
-        bench = load_dataset(bench_path)
+    for bench_path, bench in benches:
         for n in args.ngrams:
             report = count_matches(synth, bench, n, benchmark_name=bench_path)
             reports.append(report.to_json())

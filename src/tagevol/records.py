@@ -2,10 +2,10 @@
 
 Dataset files are UTF-8 with one JSON object per line. The only required
 field is "instruction"; "id", "response" and "meta" are optional. Evolved
-records additionally carry "parent_id", "round", "budget", "selected_tags",
-"candidate_tags", "plan", "flags" and "raw_digest". Writes are deterministic:
-the same record list always produces byte-identical files. They are also
-atomic: a killed process leaves either the old file or the new one.
+records additionally carry their provenance, the keys of ``_EVOLVED_FIELDS``.
+Writes are deterministic: the same record list always produces byte-identical
+files. They are also atomic: a killed process leaves either the old file or
+the new one.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ class EvolvedRecord(InstructionRecord):
             raise ValueError("selected tags must come from the candidate batch unless flagged")
 
 
-_EVOLVED_MARKER_KEYS = ("parent_id", "round", "budget")
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # the only form of a surrogate in strict UTF-8 JSON
 
 
@@ -121,23 +120,6 @@ def _is_str_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
 
-def _shared_str_list(obj: dict, key: str) -> list[str]:
-    """``obj[key]`` as a list of interned strings.
-
-    Tags and flags come from closed sets (the pool's tags, the flag codes), so
-    every loaded record shares one string per distinct value. ``sys.intern``
-    raises TypeError on a non-string, so a value it rejects gets the default
-    or the error of :func:`_checked`.
-    """
-    value = obj.get(key)
-    if isinstance(value, list):
-        try:
-            return list(map(sys.intern, value))
-        except TypeError:
-            pass
-    return _checked(obj, key, _is_str_list, "a list of strings", [])
-
-
 def _checked(obj: dict, key: str, accepts, expected: str, default=None):
     """``obj[key]`` when ``accepts`` it, or ``default`` (unless None) for an
     absent or null key. Values are checked, never coerced: any other value is
@@ -150,18 +132,32 @@ def _checked(obj: dict, key: str, accepts, expected: str, default=None):
     return value
 
 
+_EVOLVED_FIELDS = {
+    "parent_id": (_is_str, "a string", None),
+    "round": (_is_int, "an integer", None),
+    "budget": (_is_int, "an integer", None),
+    "selected_tags": (_is_str_list, "a list of strings", []),
+    "candidate_tags": (_is_str_list, "a list of strings", []),
+    "plan": (_is_str, "a string", ""),
+    "flags": (_is_str_list, "a list of strings", []),
+    "raw_digest": (_is_str, "a string", ""),
+}
+"""The evolved-record schema, in field order: each provenance key with its check, the type its
+error names and the default for an absent or null value. A default of None marks a required key,
+and the required keys are the ones whose presence makes a record evolved."""
+_EVOLVED_MARKER_KEYS = tuple(key for key, (_, _, default) in _EVOLVED_FIELDS.items() if default is None)
+
+
 def record_from_json(obj: dict, *, default_id: str) -> InstructionRecord:
     """Build a record from one parsed JSONL object. Raises ValueError on schema problems.
 
     Only types are checked here, never coerced; nonempty values and ranges
     are left to the record constructors. ``id`` defaults to ``default_id``.
-    ``round`` and ``budget`` are integers (not booleans), ``parent_id`` is a
-    string, the tag and flag lists hold only strings, and ``plan`` and
-    ``raw_digest`` are strings. The lists, ``plan`` and ``raw_digest`` may be
-    absent or null.
+    The provenance keys, their types and their defaults are those of
+    ``_EVOLVED_FIELDS``.
 
-    ``selected_tags``, ``candidate_tags`` and ``flags`` hold interned strings
-    (``sys.intern``), so equal tags are one object across records and loads.
+    Its tag and flag lists hold interned strings (``sys.intern``): they come
+    from closed sets, so equal tags are one object across records and loads.
     On CPython 3.12 interned strings are immortal: a process keeps each
     distinct tag it ever loaded, a cost bounded by the distinct-tag count.
     """
@@ -178,25 +174,24 @@ def record_from_json(obj: dict, *, default_id: str) -> InstructionRecord:
     if not isinstance(meta, dict):
         raise ValueError("'meta' must be an object")
 
-    if any(key in obj for key in _EVOLVED_MARKER_KEYS):
-        missing = [key for key in _EVOLVED_MARKER_KEYS if key not in obj]
-        if missing:
-            raise ValueError(f"evolved record missing fields: {', '.join(missing)}")
-        return EvolvedRecord(
-            id=record_id,
-            instruction=instruction,
-            response=response,
-            meta=meta,
-            parent_id=_checked(obj, "parent_id", _is_str, "a string"),
-            round=_checked(obj, "round", _is_int, "an integer"),
-            budget=_checked(obj, "budget", _is_int, "an integer"),
-            selected_tags=_shared_str_list(obj, "selected_tags"),
-            candidate_tags=_shared_str_list(obj, "candidate_tags"),
-            plan=_checked(obj, "plan", _is_str, "a string", ""),
-            flags=_shared_str_list(obj, "flags"),
-            raw_digest=_checked(obj, "raw_digest", _is_str, "a string", ""),
-        )
-    return InstructionRecord(id=record_id, instruction=instruction, response=response, meta=meta)
+    if not any(key in obj for key in _EVOLVED_MARKER_KEYS):
+        return InstructionRecord(id=record_id, instruction=instruction, response=response, meta=meta)
+    missing = [key for key in _EVOLVED_MARKER_KEYS if key not in obj]
+    if missing:
+        raise ValueError(f"evolved record missing fields: {', '.join(missing)}")
+    fields = {}
+    for key, (accepts, expected, default) in _EVOLVED_FIELDS.items():
+        value = obj.get(key)
+        # A string list is interned, and absent or null is a fresh list; sys.intern
+        # raises TypeError on a non-string, which leaves that value to _checked.
+        if accepts is _is_str_list and (value is None or isinstance(value, list)):
+            try:
+                fields[key] = list(map(sys.intern, value or ()))
+                continue
+            except TypeError:
+                pass
+        fields[key] = _checked(obj, key, accepts, expected, default)
+    return EvolvedRecord(id=record_id, instruction=instruction, response=response, meta=meta, **fields)
 
 
 def record_to_json(record: InstructionRecord) -> dict:
@@ -205,14 +200,8 @@ def record_to_json(record: InstructionRecord) -> dict:
     if record.meta:
         payload["meta"] = record.meta
     if isinstance(record, EvolvedRecord):
-        payload["parent_id"] = record.parent_id
-        payload["round"] = record.round
-        payload["budget"] = record.budget
-        payload["selected_tags"] = record.selected_tags
-        payload["candidate_tags"] = record.candidate_tags
-        payload["plan"] = record.plan
-        payload["flags"] = record.flags
-        payload["raw_digest"] = record.raw_digest
+        for key in _EVOLVED_FIELDS:
+            payload[key] = getattr(record, key)
     return payload
 
 

@@ -280,6 +280,23 @@ def test_leakage_out_flag_writes_the_report(tmp_path, capsys):
     assert payload["reports"][0]["matched_benchmark_items"] == 1
 
 
+@pytest.mark.parametrize("where", ["in_a_missing_directory", "is_a_directory"])
+def test_leakage_unwritable_out_exits_2_before_any_count(where, tmp_path, capsys, monkeypatch):
+    counted = []
+    monkeypatch.setattr("tagevol.cli.count_matches", lambda *args, **kwargs: counted.append(args))
+    synth_path = tmp_path / "synth.jsonl"
+    synth_path.write_text(json.dumps({"instruction": "x y z"}) + "\n", encoding="utf-8")
+    out = tmp_path / "missing" / "report.json"
+    if where == "is_a_directory":
+        out = tmp_path / "taken"
+        out.mkdir()
+    assert main(["leakage", str(synth_path), str(synth_path), "--ngrams", "2", "--out", str(out)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(out) in json.loads(captured.err)["message"]
+    assert counted == []
+
+
 def test_leakage_command_reports_the_trivial_overlap(tmp_path, capsys):
     synth_path = tmp_path / "synth.jsonl"
     bench_path = tmp_path / "bench.jsonl"

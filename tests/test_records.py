@@ -138,6 +138,10 @@ def test_a_json_file_nested_deeper_than_the_parser_follows_is_a_load_error(tmp_p
         ("flags", [["a"]]),
         ("id", 5),
         ("meta", [1]),
+        ("id", None),
+        ("meta", None),
+        ("response", 5),
+        ("instruction", 5),
     ],
 )
 def test_evolved_field_of_the_wrong_json_type_is_a_load_error(key, value, tmp_path):
@@ -156,6 +160,20 @@ def test_evolved_field_of_the_wrong_json_type_is_a_load_error(key, value, tmp_pa
         load_dataset(path)
     assert excinfo.value.line == 2
     assert repr(key) in str(excinfo.value)
+
+
+def test_a_line_that_is_not_a_json_object_is_a_load_error_naming_its_line(tmp_path):
+    path = tmp_path / "seed.jsonl"
+    _write_lines(path, [json.dumps({"instruction": "ok"}), json.dumps([1, 2])])
+    with pytest.raises(LoadError, match="expected a JSON object") as excinfo:
+        load_dataset(path)
+    assert excinfo.value.line == 2
+
+
+def test_the_evolved_schema_lists_the_provenance_fields_in_record_order():
+    names = [f.name for f in dataclasses.fields(EvolvedRecord)]
+    assert names[:4] == [f.name for f in dataclasses.fields(InstructionRecord)]
+    assert list(records._EVOLVED_FIELDS) == names[4:]
 
 
 @pytest.mark.parametrize("missing", ["parent_id", "round", "budget"])
@@ -182,6 +200,15 @@ def test_evolved_optional_fields_may_be_absent_or_null(tmp_path):
     )
     for record in load_dataset(path):
         assert (record.round, record.budget, record.plan, record.flags, record.raw_digest) == (2, 1, "", [], "")
+
+
+def test_absent_lists_load_as_a_fresh_list_per_record(tmp_path):
+    path = tmp_path / "round.jsonl"
+    base = {"instruction": "rewritten", "parent_id": "p", "round": 1, "budget": 1, "selected_tags": ["a"]}
+    _write_lines(path, [json.dumps({**base, "id": name, "candidate_tags": ["a"]}) for name in ("one", "two")])
+    one, two = load_dataset(path)
+    assert one.flags == two.flags == []
+    assert one.flags is not two.flags
 
 
 def _evolved_line(index: int, candidates: list[str], flags: list[str]) -> str:

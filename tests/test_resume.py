@@ -5,6 +5,11 @@ The backend is a local HTTP server whose reply is a pure function of the
 prompt, so every run sees the same replies. A seeded share of the first
 attempts' prompts get a reply that does not parse; every other prompt gets a
 valid rewrite. The server kills the child on its k-th POST, before answering it.
+
+The killed run posts to its own path, so a POST it left in flight is logged as
+the killed run's even when the server reads it after the next run has begun.
+The resumed and reference runs share one endpoint: it is part of the config
+each round manifest records.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ SEEDS = 10
 BUDGETS = (1, 2)
 MASTER_SEED = 7
 KILL_AT = 9  # the POST the server answers by killing the child
+TIMEOUT = 60  # seconds a run may take; the kill waits for the cache within the same bound
+KILLED_PREFIX = "/killed"  # the path prefix of the killed run's endpoint
 MALFORMED = "completely unstructured reply with no markers at all"
 
 
@@ -62,6 +69,7 @@ class _Backend:
         self.lock = threading.Lock()
         self.killed = threading.Event()
         self.run = ""
+        self.late: str | None = None  # why the kill could not wait for the cache, if it could not
         self.log: dict[str, list[tuple[str, str]]] = {}  # run -> [(prompt digest, outcome)]
         self.child: subprocess.Popen | None = None
         self.cache_file: Path | None = None
@@ -69,14 +77,16 @@ class _Backend:
     def start(self, run: str, child_cache_file: Path | None = None) -> None:
         self.run, self.cache_file = run, child_cache_file
         self.log[run] = []
+        self.deadline = time.monotonic() + TIMEOUT
 
-    def reply(self, prompt: str) -> str | None:
-        """The reply to send, or None to leave the POST unanswered."""
+    def reply(self, path: str, prompt: str) -> str | None:
+        """The reply to send to a POST on ``path``, or None to leave it unanswered."""
         digest = _digest(prompt)
+        run = "killed" if path.startswith(KILLED_PREFIX + "/") else self.run
         with self.lock:
-            log = self.log[self.run]
+            log = self.log[run]
             number = len(log) + 1
-            killing = self.cache_file is not None and number >= KILL_AT
+            killing = run == "killed" and number >= KILL_AT
             if killing:
                 outcome = "unanswered"
             elif digest in self.malformed:
@@ -92,8 +102,11 @@ class _Backend:
         if number == KILL_AT:
             # Let every valid reply already answered reach the cache, so the
             # kill lands between calls, never between a reply and its append.
-            deadline = time.monotonic() + 10
-            while self._cached_lines() < valid_answered and time.monotonic() < deadline:
+            while self._cached_lines() < valid_answered:
+                if time.monotonic() > self.deadline:
+                    cached = self._cached_lines()
+                    self.late = f"{TIMEOUT} s into the killed run, {cached} of {valid_answered} valid replies were cached"
+                    break
                 time.sleep(0.01)
             os.kill(self.child.pid, signal.SIGKILL)
             self.killed.set()
@@ -114,7 +127,7 @@ def _handler(backend: _Backend):
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
             body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-            content = backend.reply(body["messages"][-1]["content"])
+            content = backend.reply(self.path, body["messages"][-1]["content"])
             if content is None:
                 return
             data = json.dumps(
@@ -169,11 +182,11 @@ def _evolve(run_dir: Path, endpoint: str, backend: _Backend) -> subprocess.Popen
 
 def _finish(child: subprocess.Popen) -> tuple[int, str]:
     try:
-        _, err = child.communicate(timeout=60)
+        _, err = child.communicate(timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         child.kill()
         child.communicate()
-        raise
+        pytest.fail(f"a run took over {TIMEOUT} s")
     return child.returncode, err
 
 
@@ -191,7 +204,10 @@ def test_a_killed_evolve_resumes_to_the_uninterrupted_outputs(served, tmp_path):
         save_pool(pool, runs[name] / "pool.json")
 
     backend.start("killed", child_cache_file=runs["resumed"] / "cache" / "responses.jsonl")
-    assert _finish(_evolve(runs["resumed"], endpoint, backend))[0] == -signal.SIGKILL
+    killed_endpoint = endpoint.replace("/v1/", KILLED_PREFIX + "/v1/", 1)
+    returncode = _finish(_evolve(runs["resumed"], killed_endpoint, backend))[0]
+    assert backend.late is None, backend.late
+    assert returncode == -signal.SIGKILL
     backend.start("resumed")
     assert _finish(_evolve(runs["resumed"], endpoint, backend)) == (0, "")
     backend.start("reference")

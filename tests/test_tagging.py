@@ -496,6 +496,13 @@ def test_load_rejects_version_mismatch(tmp_path):
         load_pool(path)
 
 
+def test_a_pool_file_whose_top_level_is_a_list_is_a_load_error(tmp_path):
+    path = tmp_path / "pool.json"
+    path.write_text(json.dumps([GOOD_POOL_ENTRY]), encoding="utf-8")
+    with pytest.raises(LoadError, match="expected a JSON object"):
+        load_pool(path)
+
+
 def test_empty_pool_file_loads_with_zero_entries(tmp_path):
     path = tmp_path / "pool.json"
     save_pool(TagPool(model="m"), path)

@@ -17,6 +17,7 @@ import random
 import sys
 import types
 import typing
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -278,10 +279,11 @@ def cmd_merge(args: argparse.Namespace, config: RunConfig) -> int:
     rounds = [load_dataset(path) for path in args.rounds]
     seed = load_dataset(args.seed_dataset) if args.include_seed else ()
     merged = merge_rounds(rounds, seed=seed)
+    repeated = [record_id for record_id, count in Counter(r.id for r in merged).items() if count > 1]
+    if repeated:
+        raise LoadError(args.out, 0, f"duplicate record id {repeated[0]!r}: two inputs give it different instructions; nothing written")
     write_dataset(merged, args.out)
-    sources = [str(p) for p in args.rounds]
-    if args.include_seed:
-        sources = [str(args.seed_dataset)] + sources
+    sources = [str(p) for p in ([args.seed_dataset] if args.include_seed else []) + args.rounds]
     manifest = build_manifest(
         name=Path(args.out).stem,
         sources=sources,

@@ -39,7 +39,7 @@ from .records import (
     InstructionRecord,
     dedup_key,
 )
-from .tagging import TagPool, extract_balanced, fill_template, normalized_tags, parse_literal
+from .tagging import TagPool, extract_balanced, normalized_tags, parse_literal
 
 log = logging.getLogger(__name__)
 
@@ -85,6 +85,7 @@ _MARKER_RE = re.compile(
     re.IGNORECASE,
 )
 _SECTION_ORDER = ("subset", "plan", "rewritten", "final")
+_RESIDUE_RE = re.compile(r"\A[\s:*`]+")
 
 
 @dataclass(frozen=True)
@@ -115,23 +116,17 @@ def build_evolution_prompt(record: InstructionRecord, budget: int, cand: Sequenc
     renders the per-budget cap as a literal number (20 times the budget).
     :func:`evolve_rounds` checks that ``cand`` holds at least ``budget`` >= 1 tags.
     """
-    return fill_template(
-        EVOLUTION_PROMPT,
-        {
-            "instruction": record.instruction,
-            "tag_list": json.dumps(list(cand), ensure_ascii=False),
-            "budget": str(budget),
-            "word_limit": str(WORD_DELTA_PER_BUDGET * budget),
-        },
+    return EVOLUTION_PROMPT.format(
+        instruction=record.instruction,
+        tag_list=json.dumps(list(cand), ensure_ascii=False),
+        budget=budget,
+        word_limit=WORD_DELTA_PER_BUDGET * budget,
     )
 
 
 def _clean_section(text: str) -> str:
     """Trim a section body, dropping leading colon/markdown residue from the marker line."""
-    text = text.strip()
-    while text and text[0] in ":*`":
-        text = text[1:].lstrip()
-    return text.rstrip()
+    return _RESIDUE_RE.sub("", text.strip())
 
 
 def _parse_subset(section: str) -> list[str]:
@@ -165,14 +160,12 @@ def parse_evolution_response(text: str) -> ParsedEvolution:
     Marker matching is case-insensitive; when a marker repeats, the last
     occurrence wins. Subset tags come back normalized.
     """
-    hits: list[tuple[str, int, int]] = []
+    sections: dict[str | None, str] = {}  # None: the text before the first marker
+    kind, end = None, 0
     for match in _MARKER_RE.finditer(text):
-        kind = next(k for k in _SECTION_ORDER if match.group(k))
-        hits.append((kind, match.start(), match.end()))
-    sections: dict[str, str] = {}
-    for i, (kind, _, end) in enumerate(hits):
-        next_start = hits[i + 1][1] if i + 1 < len(hits) else len(text)
-        sections[kind] = text[end:next_start]
+        sections[kind] = text[end : match.start()]
+        kind, end = match.lastgroup, match.end()
+    sections[kind] = text[end:]
     for step, kind in enumerate(_SECTION_ORDER, start=1):
         if kind not in sections:
             raise ParseError(f"MissingStep{step}", f"no marker for step {step} ({kind})")

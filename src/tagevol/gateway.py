@@ -185,8 +185,8 @@ class HttpBackend:
     :class:`BackendError`. Every transport failure (refused or reset
     connection, timeout, truncated reply) is transient. Proxies come from the
     ``*_proxy`` environment variables, HTTPS certificates are checked against
-    the system CA store, and 301/302/303 redirects are followed; a 307/308
-    reply to the POST is not, so it is a :class:`BackendError`.
+    the system CA store, and a 301/302/303 redirect is re-sent as a GET with
+    no body, as urllib does; a 307/308 reply to the POST is a :class:`BackendError`.
 
     The constructor raises :class:`PreconditionError` unless ``endpoint`` is
     an http or https URL with a host, written in printable ASCII without
@@ -349,8 +349,7 @@ class _Slots:
     def release(self) -> None:
         self._tokens.put(None)
 
-    def __enter__(self) -> None:
-        self._tokens.get()
+    __enter__ = acquire
 
     def __exit__(self, *exc) -> None:
         self._tokens.put(None)
@@ -446,8 +445,11 @@ class Gateway:
         This is the one parse-retry loop of the pipeline. ``next_request`` is
         called once per attempt. A :class:`BackendError` propagates at once,
         because ``complete`` has already retried the transient ones; if no
-        reply parses, the last :class:`ParseError` propagates.
+        reply parses, the last :class:`ParseError` propagates. A ``retries``
+        below 0 raises :class:`PreconditionError` before any send.
         """
+        if retries < 0:
+            raise PreconditionError("retries must be >= 0")
         for _ in range(retries):
             try:
                 return self.complete(next_request(), parse)

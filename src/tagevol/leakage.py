@@ -13,8 +13,9 @@ windows around an anchor found in the benchmark are looked up, each at most once
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import asdict, dataclass
-from itertools import compress, islice
+from itertools import compress
 from typing import Sequence
 
 from .errors import PreconditionError
@@ -62,10 +63,10 @@ def count_matches(
         raise PreconditionError("n must be >= 1")
     width = min(n, 2)
     stride = n - width + 1
-    bench_grams = [sorted(extract_ngrams(bench.instruction, n)) for bench in benchmark_records]
     index: dict[str, list[int]] = {}
     keys: set[tuple[str, str]] = set()
-    for position, (bench, grams) in enumerate(zip(benchmark_records, bench_grams)):
+    for position, bench in enumerate(benchmark_records):
+        grams = extract_ngrams(bench.instruction, n)
         for gram in grams:
             index.setdefault(gram, []).append(position)
         if grams:
@@ -89,17 +90,15 @@ def count_matches(
         for bench_position in hit:
             partner_counts[bench_position] += 1
 
-    matched = (
-        {"gram": gram, "synth_id": synth_records[first_holder[gram]].id, "benchmark_id": bench.id}
-        for bench, grams in zip(benchmark_records, bench_grams)
-        for gram in grams
-        if gram in first_holder
-    )
+    matched = ((position, gram) for gram in first_holder for position in index[gram])
     return LeakageReport(
         benchmark=benchmark_name,
         n=n,
         matched_benchmark_items=sum(1 for count in partner_counts if count),
         matched_pairs=sum(partner_counts),
         benchmark_size=len(benchmark_records),
-        samples=list(islice(matched, max(max_samples, 0))),
+        samples=[
+            {"gram": gram, "synth_id": synth_records[first_holder[gram]].id, "benchmark_id": benchmark_records[position].id}
+            for position, gram in heapq.nsmallest(max(max_samples, 0), matched)
+        ],
     )

@@ -15,6 +15,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -285,13 +286,7 @@ def build_manifest(
     parameters: dict,
 ) -> dict:
     """Summarize a record list into a manifest with a per-round breakdown, as the JSON object written."""
-    buckets: dict[tuple, int] = {}
-    for record in records:
-        if isinstance(record, EvolvedRecord):
-            key = (record.round, record.budget)
-        else:
-            key = (None, None)
-        buckets[key] = buckets.get(key, 0) + 1
+    buckets = Counter((r.round, r.budget) if isinstance(r, EvolvedRecord) else (None, None) for r in records)
     rounds = [
         {"round": rnd, "budget": budget, "count": count}
         for (rnd, budget), count in sorted(

@@ -15,6 +15,7 @@ import logging
 import re
 import sys
 import unicodedata
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -47,11 +48,10 @@ Step 1 #Aspect List and Explanation#:
 Step 2 #Aspect2Tags#:
 
 #Aspect2Tags#
-{"xxx":[tag1, tag2, ...], "xxx":[tag1, tag2, ...], ...}
+{{"xxx":[tag1, tag2, ...], "xxx":[tag1, tag2, ...], ...}}
 where xxx means aspect you get in step 1.
 """
 
-_SLOT_RE = re.compile(r"\{(instruction|tag_list|budget|word_limit)\}")
 _ASPECT2TAGS_RE = re.compile(r"#\s*aspect\s*2\s*tags\s*#", re.IGNORECASE)
 
 
@@ -59,18 +59,9 @@ class RejectedTag(TagEvolError):
     """Normalization left nothing usable (e.g. punctuation-only input)."""
 
 
-def fill_template(template: str, values: dict[str, str]) -> str:
-    """Substitute named slots in a single pass, leaving all other text verbatim.
-
-    Single-pass substitution means slot-like text inside the values can never
-    be re-expanded, and literal braces elsewhere in the template survive.
-    """
-    return _SLOT_RE.sub(lambda match: values[match.group(1)], template)
-
-
 def build_tagging_prompt(record: InstructionRecord) -> str:
-    """Render the tagging prompt with the record's instruction substituted verbatim."""
-    return fill_template(TAGGING_PROMPT, {"instruction": record.instruction})
+    """Render the tagging prompt; ``str.format`` fills the slot once, so the instruction stays verbatim."""
+    return TAGGING_PROMPT.format(instruction=record.instruction)
 
 
 def extract_balanced(text: str, open_char: str, close_char: str) -> str | None:
@@ -355,7 +346,7 @@ def build_tag_pool(
     )
 
     report = TagPoolBuildReport(total_records=len(records), failures=failures)
-    observed: dict[tuple[str, str], list] = {}
+    observed: defaultdict[tuple[str, str], list] = defaultdict(lambda: [set(), set(), 0])
     for record, outcome in zip(records, outcomes):
         if outcome is None:
             continue
@@ -365,9 +356,7 @@ def build_tag_pool(
             report.preambles[record.id] = preamble
         for aspect_raw, aspect in normalized_tags(parsed):
             for tag_raw, tag in normalized_tags(parsed[aspect_raw]):
-                seen = observed.get((aspect, tag))
-                if seen is None:
-                    seen = observed[(aspect, tag)] = [set(), set(), 0]
+                seen = observed[(aspect, tag)]
                 seen[0].add(tag_raw)
                 seen[1].add(record.id)
                 seen[2] += 1

@@ -256,6 +256,25 @@ def test_merge_without_include_seed_never_reads_the_seed_dataset(tmp_path, capsy
     assert manifest_path(with_seed).read_bytes() == manifest_path(plain).read_bytes()
 
 
+@pytest.mark.parametrize("with_ids", [True, False], ids=["evolved_id", "default_id"])
+def test_merge_of_one_id_with_two_instructions_exits_2_and_writes_nothing(with_ids, tmp_path, capsys):
+    paths = []
+    for run in ("a", "b"):
+        path = tmp_path / run / ("round1_budget1.jsonl" if with_ids else "x.jsonl")
+        path.parent.mkdir()
+        line = {"instruction": f"a task from run {run}"}
+        if with_ids:
+            line = {"id": "seed:0:round1", **line}
+        path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        paths.append(str(path))
+    merged_path = tmp_path / "merged.jsonl"
+    assert main(["merge", *paths, "--out", str(merged_path)]) == EXIT_INPUT
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "input_error"
+    assert repr("seed:0:round1" if with_ids else "x.jsonl:1") in error["message"]
+    assert not merged_path.exists() and not manifest_path(merged_path).exists()
+
+
 def test_merge_include_seed_requires_the_seed_path(tmp_path, capsys):
     round_path = tmp_path / "round.jsonl"
     write_dataset(make_records(1), round_path)

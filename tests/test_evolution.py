@@ -57,6 +57,7 @@ from tagevol.records import (
     FLAG_WORD_DELTA_OUT_OF_RANGE,
     InstructionRecord,
 )
+from tagevol.tagging import build_tagging_prompt
 
 
 def test_prompt_contains_budget_and_exclusion_clause():
@@ -100,6 +101,49 @@ def test_polynomial_budget_three_subset():
         "sequential operations",
         "polygon perimeter",
     ]
+
+
+@pytest.mark.parametrize("instruction", ["Explain {instruction} and {tag_list}", "Use {budget} words", "Keep {{x}} and {x}"])
+def test_slot_like_text_in_an_instruction_stays_verbatim_in_both_prompts(instruction):
+    record = InstructionRecord("r:1", instruction)
+    evolution = build_evolution_prompt(record, 2, ["alpha", "beta"])
+    assert f"Here is the #Instruction#: {instruction}\n" in evolution
+    assert 'Here is the #Tag List#:\n["alpha", "beta"]\n' in evolution
+    assert "The subset should contain 2 tags" in evolution and "between 10 and 40 words" in evolution
+    assert f"#Task {instruction}\n" in build_tagging_prompt(record)
+
+
+def test_a_repeated_marker_takes_the_text_after_its_last_occurrence():
+    reply = (
+        "#Tag subset#: [\"early\"]\n"
+        "#Plan#: first plan\n"
+        "#Tag Subset# [\"alpha\", \"beta\"]\n"
+        "#Rewritten Instruction#: first rewrite\n"
+        "#PLAN#: second plan\n"
+        "#Final Rewritten Instruction#: first final\n"
+        "# rewritten instruction # second rewrite\n"
+        "#Finally Rewritten Instruction#: second final\n"
+    )
+    parsed = parse_evolution_response(reply)
+    assert parsed.subset == ["alpha", "beta"]
+    assert (parsed.plan, parsed.rewritten, parsed.final) == ("second plan", "second rewrite", "second final")
+
+
+@pytest.mark.parametrize(
+    "residue,expected",
+    [
+        (": \u00a0** `\u3000final text **", "final text **"),
+        ("\u3000:`final: *text*`\u00a0", "final: *text*`"),
+        ("final\u3000:*` text", "final\u3000:*` text"),
+    ],
+)
+def test_section_residue_with_unicode_spaces_is_stripped_from_the_front_only(residue, expected):
+    assert parse_evolution_response(evolution_reply(["a"], residue)).final == expected
+
+
+def test_a_step_four_of_residue_and_unicode_spaces_only_is_empty():
+    with pytest.raises(ParseError, match="^MissingStep4: step 4 section is empty$"):
+        parse_evolution_response(evolution_reply(["a"], "\u00a0*\u3000:\u00a0`\u00a0"))
 
 
 def test_missing_step_four_is_reported():

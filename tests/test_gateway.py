@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import ReplySequenceBackend
+from helpers import ReplySequenceBackend, SynthesizingBackend, make_pool, make_records
 from tagevol.errors import LoadError, ParseError, PreconditionError, RecordError
+from tagevol.evolution import evolve_rounds
 from tagevol.gateway import (
     AuthError,
     ChatRequest,
@@ -30,6 +31,8 @@ from tagevol.gateway import (
     request_cache_key,
     user_message,
 )
+from tagevol.metrics import evaluate_dataset
+from tagevol.tagging import build_tag_pool
 
 
 def _request(text, **kwargs):
@@ -438,6 +441,25 @@ def test_gateway_rejects_bad_settings_with_a_precondition_error(setting):
     with pytest.raises(PreconditionError) as excinfo:
         Gateway(ReplySequenceBackend(), **setting)
     assert isinstance(excinfo.value, ValueError)
+
+
+_NEGATIVE_RETRY_STAGES = {
+    "tag": lambda records, gateway: build_tag_pool(records, gateway, retries_per_record=-1, model="m"),
+    "evolve": lambda records, gateway: evolve_rounds(
+        records, [1], make_pool(["alpha", "beta", "gamma"]), gateway, 0, 2, retries=-5, model="m"
+    ),
+    "stats": lambda records, gateway: evaluate_dataset(records, gateway, sample_size=2, retries=-1, model="m"),
+}
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 2])
+@pytest.mark.parametrize("stage", sorted(_NEGATIVE_RETRY_STAGES))
+def test_a_negative_parse_retry_count_is_a_precondition_error_before_any_send(stage, max_in_flight):
+    backend = SynthesizingBackend()
+    gateway = Gateway(backend, max_in_flight=max_in_flight, sleep=lambda _: None)
+    with pytest.raises(PreconditionError, match="retries must be >= 0"):
+        _NEGATIVE_RETRY_STAGES[stage](make_records(3), gateway)
+    assert backend.calls == 0
 
 
 def test_cache_serves_repeats_and_persists(tmp_path):

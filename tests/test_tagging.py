@@ -48,6 +48,7 @@ def test_prompt_contains_template_and_instruction_verbatim():
     assert "You are a tagging system" in prompt
     assert "#Task Reverse the string given in the input" in prompt
     assert "#Aspect2Tags#" in prompt
+    assert '\n{"xxx":[tag1, tag2, ...], "xxx":[tag1, tag2, ...], ...}\nwhere xxx means aspect' in prompt
 
 
 def test_prompt_preserves_braces_in_instruction():

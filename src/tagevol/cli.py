@@ -18,7 +18,7 @@ import sys
 import types
 import typing
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .errors import LoadError, PreconditionError, StageFailed, TagEvolError, WriteError
@@ -135,7 +135,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     # --preset in cmd_evolve. Only model and endpoint text reaches a request; a path may hold any byte.
     # Flags are read in field order, so the same bad command line names the same flag in every run.
     for key in _CONFIG_TYPES:
-        flag_value = None if key == "budgets" else getattr(args, key, None)
+        flag_value = getattr(args, key, None)
         if key in ("model", "endpoint") and flag_value is not None and not _is_unicode(flag_value):
             raise LoadError("command line", 0, f"--{key} holds a lone UTF-16 surrogate, which UTF-8 cannot encode")
         if flag_value is not None:
@@ -195,8 +195,8 @@ def cmd_tag(args: argparse.Namespace, config: RunConfig) -> int:
 def cmd_evolve(args: argparse.Namespace, config: RunConfig) -> int:
     if args.preset and args.budgets:
         raise PreconditionError("--preset and --budgets both give the budgets; pass one of them")
-    budgets = list(PRESETS[args.preset] if args.preset else args.budgets or config.budgets or [])
-    if not budgets:
+    config = replace(config, budgets=list(PRESETS[args.preset] if args.preset else config.budgets or []))
+    if not config.budgets:
         raise PreconditionError("no budgets configured; pass --budgets or --preset")
     seeds = load_dataset(args.seed_dataset)
     pool = load_pool(args.pool)
@@ -212,7 +212,7 @@ def cmd_evolve(args: argparse.Namespace, config: RunConfig) -> int:
     try:
         result = evolve_rounds(
             seeds,
-            budgets,
+            config.budgets,
             pool,
             gateway,
             config.seed,
@@ -228,11 +228,11 @@ def cmd_evolve(args: argparse.Namespace, config: RunConfig) -> int:
         "model": decoding["model"],
         "rng_seed": config.seed,
         "candidate_size": config.candidate_size,
-        "budgets": budgets,
+        "budgets": config.budgets,
         "config": config.to_json(),
     }
     written = []
-    for round_index, (budget, round_records) in enumerate(zip(budgets, result.rounds), start=1):
+    for round_index, (budget, round_records) in enumerate(zip(config.budgets, result.rounds), start=1):
         if args.drop_flagged:
             round_records = [r for r in round_records if not r.flags]
         path = out_dir / f"round{round_index}_budget{budget}.jsonl"

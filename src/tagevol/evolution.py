@@ -21,9 +21,7 @@ from typing import Sequence
 
 from .errors import ParseError, PreconditionError
 from .gateway import (
-    DEFAULT_MAX_TOKENS,
     DEFAULT_RETRIES,
-    DEFAULT_TEMPERATURE,
     ChatRequest,
     ChatResponse,
     Gateway,
@@ -222,8 +220,7 @@ def evolve_record(
     *,
     model: str,
     round_index: int = 1,
-    temperature: float = DEFAULT_TEMPERATURE,
-    max_tokens: int = DEFAULT_MAX_TOKENS,
+    **decoding,
 ) -> EvolvedRecord:
     """Evolve one record: sample candidates, prompt, parse, validate, package.
 
@@ -245,8 +242,7 @@ def evolve_record(
         return ChatRequest(
             model=model,
             messages=(user_message(prompt),),
-            temperature=temperature,
-            max_tokens=max_tokens,
+            **decoding,
         )
 
     def parse(response: ChatResponse) -> tuple[ParsedEvolution, str]:
@@ -297,8 +293,7 @@ def evolve_rounds(
     retries: int = DEFAULT_RETRIES,
     *,
     model: str,
-    temperature: float = DEFAULT_TEMPERATURE,
-    max_tokens: int = DEFAULT_MAX_TOKENS,
+    **decoding,
 ) -> RoundsResult:
     """Run one round per budget, always evolving from the seed dataset.
 
@@ -347,8 +342,7 @@ def evolve_rounds(
             retries,
             model=model,
             round_index=round_index,
-            temperature=temperature,
-            max_tokens=max_tokens,
+            **decoding,
         )
 
     evolved, failures = gateway.map_in_order(

@@ -83,7 +83,7 @@ def user_message(content: str) -> ChatMessage:
 
 @dataclass(frozen=True)
 class ChatRequest:
-    """One chat-completion request; the constructor checks only the decoding params."""
+    """One chat-completion request; it alone declares the decoding params, the only fields its constructor checks."""
 
     model: str
     messages: tuple[ChatMessage, ...]

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError, StageFailed
-from .gateway import DEFAULT_MAX_TOKENS, DEFAULT_RETRIES, DEFAULT_TEMPERATURE, Gateway
+from .gateway import DEFAULT_RETRIES, Gateway
 from .records import InstructionRecord
 from .tagging import normalized_tags, tag_record
 
@@ -69,8 +69,7 @@ def evaluate_dataset(
     retries: int = DEFAULT_RETRIES,
     *,
     model: str,
-    temperature: float = DEFAULT_TEMPERATURE,
-    max_tokens: int = DEFAULT_MAX_TOKENS,
+    **decoding,
 ) -> MetricsReport:
     """Tag a uniform sample of records and report difficulty and diversity.
 
@@ -87,9 +86,7 @@ def evaluate_dataset(
     sample = rng.sample(records, sample_size)
 
     outcomes, dropped = gateway.map_in_order(
-        lambda record: tag_record(
-            record, gateway, retries, model=model, temperature=temperature, max_tokens=max_tokens
-        ),
+        lambda record: tag_record(record, gateway, retries, model=model, **decoding),
         sample,
     )
     tag_sets = [

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .gateway import DEFAULT_MAX_TOKENS, DEFAULT_RETRIES, RESPONSE_TEMPERATURE, ChatRequest, Gateway, user_message
+from .gateway import DEFAULT_RETRIES, RESPONSE_TEMPERATURE, ChatRequest, Gateway, user_message
 from .records import InstructionRecord
 
 
@@ -29,8 +29,7 @@ def generate_responses(
     *,
     model: str,
     overwrite: bool = False,
-    temperature: float = RESPONSE_TEMPERATURE,
-    max_tokens: int = DEFAULT_MAX_TOKENS,
+    **decoding,
 ) -> tuple[list[InstructionRecord], ResponseReport]:
     """Fill missing responses; returns new records in input order plus a report.
 
@@ -43,16 +42,16 @@ def generate_responses(
     the gateway rejects as cut off at ``max_tokens`` (``Truncated: the reply
     stopped at max_tokens (N)``): it is not stored as the response, and a
     rerun with a larger ``max_tokens`` fills it. A failed record passes
-    through unchanged and is listed in the report's ``failures``.
+    through unchanged and is listed in the report's ``failures``. Decoding
+    keywords go to :class:`ChatRequest`, with ``temperature`` 0.0 (greedy) unless given.
     """
     records = list(records)
+    decoding.setdefault("temperature", RESPONSE_TEMPERATURE)
 
     def respond(record: InstructionRecord) -> InstructionRecord:
         if record.response is not None and not overwrite:
             return record
-        request = ChatRequest(
-            model=model, messages=(user_message(record.instruction),), temperature=temperature, max_tokens=max_tokens
-        )
+        request = ChatRequest(model=model, messages=(user_message(record.instruction),), **decoding)
         return replace(record, response=gateway.complete(request).content)
 
     outcomes, failures = gateway.map_in_order(respond, records)

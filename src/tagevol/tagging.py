@@ -22,9 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import LoadError, ParseError, PreconditionError, StageFailed, TagEvolError
 from .gateway import (
-    DEFAULT_MAX_TOKENS,
     DEFAULT_RETRIES,
-    DEFAULT_TEMPERATURE,
     ChatRequest,
     ChatResponse,
     Gateway,
@@ -291,8 +289,7 @@ def tag_record(
     retries: int,
     *,
     model: str,
-    temperature: float,
-    max_tokens: int,
+    **decoding,
 ) -> tuple[dict[str, list[str]], str]:
     """Tag one record: its aspect-to-tags map and the step-1 reply preamble.
 
@@ -306,8 +303,7 @@ def tag_record(
     request = ChatRequest(
         model=model,
         messages=(user_message(build_tagging_prompt(record)),),
-        temperature=temperature,
-        max_tokens=max_tokens,
+        **decoding,
     )
     return gateway.ask(lambda: request, _parse_tagging_reply, retries)
 
@@ -318,8 +314,7 @@ def build_tag_pool(
     retries_per_record: int = DEFAULT_RETRIES,
     *,
     model: str,
-    temperature: float = DEFAULT_TEMPERATURE,
-    max_tokens: int = DEFAULT_MAX_TOKENS,
+    **decoding,
 ) -> tuple[TagPool, TagPoolBuildReport]:
     """Tag every record through the gateway and merge the results into a pool.
 
@@ -339,9 +334,7 @@ def build_tag_pool(
     if not records:
         raise PreconditionError("no records to tag")
     outcomes, failures = gateway.map_in_order(
-        lambda record: tag_record(
-            record, gateway, retries_per_record, model=model, temperature=temperature, max_tokens=max_tokens
-        ),
+        lambda record: tag_record(record, gateway, retries_per_record, model=model, **decoding),
         records,
     )
 

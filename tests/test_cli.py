@@ -406,6 +406,37 @@ def test_config_file_is_honored_and_flags_override(tmp_path, capsys):
     assert manifest2["parameters"]["model"] == "flag-model"
 
 
+@pytest.mark.parametrize(
+    "config_budgets, extra, used",
+    [
+        ([2], ("--budgets", "1"), [1]),
+        ([2], ("--preset", "math"), [1, 3, 5]),
+        (None, ("--preset", "math"), [1, 3, 5]),
+        ([1, 2], (), [1, 2]),
+    ],
+    ids=["flag-over-config", "preset-over-config", "preset", "config-file"],
+)
+def test_round_manifests_record_the_budgets_the_run_used(config_budgets, extra, used, tmp_path, capsys):
+    records, seed_path, _ = _prepare(tmp_path)
+    entries = {}
+    for budgets in ([1, 2], [1, 3, 5]):
+        for entry in build_pipeline_script(records, budgets, master_seed=0):
+            entries[entry["prompt_sha256"]] = entry["response"]
+    script_path = tmp_path / "script.json"
+    write_script(script_path, [{"prompt_sha256": k, "response": v} for k, v in sorted(entries.items())])
+    pool_path = tmp_path / "pool.json"
+    assert _tag(seed_path, script_path, pool_path) == EXIT_OK
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({} if config_budgets is None else {"budgets": config_budgets}), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    argv = ["evolve", str(seed_path), str(pool_path), str(out_dir), "--mock-script", str(script_path), "--no-cache"]
+    assert main([*argv, "--config", str(config_path), *extra]) == EXIT_OK
+    for round_index, budget in enumerate(used, start=1):
+        manifest = json.loads((out_dir / f"round{round_index}_budget{budget}.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["parameters"]["budgets"] == used
+        assert manifest["parameters"]["config"]["budgets"] == used
+
+
 def test_unknown_config_keys_exit_2(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"budgt": [1]}), encoding="utf-8")
@@ -929,6 +960,36 @@ def test_two_bad_text_flags_name_the_same_flag_under_any_hash_seed(tmp_path, mon
     assert [run.returncode for run in runs] == [EXIT_INPUT, EXIT_INPUT]
     assert runs[0].stderr == runs[1].stderr
     assert "--endpoint holds a lone UTF-16 surrogate" in json.loads(runs[0].stderr)["message"]
+
+
+def test_the_pipeline_writes_the_same_bytes_under_any_hash_seed(tmp_path, monkeypatch):
+    records = make_records(8, prefix="seed")
+    rounds = ["rounds/round1_budget1.jsonl", "rounds/round2_budget3.jsonl", "rounds/round3_budget5.jsonl"]
+    steps = [
+        ["tag", "seed.jsonl", "--out", "pool.json"],
+        ["evolve", "seed.jsonl", "pool.json", "rounds", "--preset", "math", "--seed", "42"],
+        *(["respond", path] for path in rounds),
+        ["merge", *rounds, "--out", "merged.jsonl"],
+        ["leakage", "merged.jsonl", "seed.jsonl", "--out", "leakage.json"],
+        ["stats", "seed.jsonl", "--sample-size", "5", "--out", "stats.json"],
+    ]
+    trees = []
+    for hash_seed in ("0", "1"):
+        run_dir = tmp_path / f"hash{hash_seed}"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        monkeypatch.setenv("PYTHONHASHSEED", hash_seed)
+        write_dataset(records, run_dir / "seed.jsonl")
+        write_script(run_dir / "script.json", build_pipeline_script(records, [1, 3, 5], master_seed=42))
+        outputs = []
+        for argv in steps:
+            run = _cli_process(*argv, "--mock-script", "script.json", "--no-cache")
+            assert run.returncode == EXIT_OK, run.stderr
+            outputs.append((run.stdout, run.stderr))
+        files = {str(path.relative_to(run_dir)): path.read_bytes() for path in sorted(run_dir.rglob("*")) if path.is_file()}
+        trees.append((outputs, files))
+    assert len(trees[0][1]) == 18  # 2 inputs and 16 artifacts
+    assert trees[0] == trees[1]
 
 
 def test_a_failed_run_puts_its_warnings_into_its_one_stderr_line(tmp_path):

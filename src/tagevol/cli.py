@@ -35,7 +35,7 @@ from .gateway import (
     MockBackend,
     ResponseCache,
 )
-from .leakage import count_matches
+from .leakage import count_matches_many
 from .metrics import DEFAULT_SAMPLE_SIZE, evaluate_dataset
 from .records import (
     _is_unicode,
@@ -300,11 +300,11 @@ def cmd_leakage(args: argparse.Namespace, config: RunConfig) -> int:
     benches = [(bench_path, load_dataset(bench_path)) for bench_path in args.benchmarks]
     if args.out:
         _check_out_path(args.out)
-    reports = []
-    for bench_path, bench in benches:
-        for n in args.ngrams:
-            report = count_matches(synth, bench, n, benchmark_name=bench_path)
-            reports.append(report.to_json())
+    if min(args.ngrams) < 1:
+        raise PreconditionError("n must be >= 1")
+    # One pass per distinct n over every benchmark; reports keep command-line order.
+    by_n = {n: count_matches_many(synth, benches, n) for n in dict.fromkeys(args.ngrams)}
+    reports = [by_n[n][b].to_json() for b in range(len(benches)) for n in args.ngrams]
     _emit({"dataset": str(args.dataset), "reports": reports}, out=args.out)
     return EXIT_OK
 

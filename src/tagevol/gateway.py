@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import LoadError, ParseError, PreconditionError, RecordError, WriteError
-from .records import _is_unicode, read_json
+from .records import _LINE_ENCODER, _is_unicode, read_json
 
 log = logging.getLogger(__name__)
 
@@ -108,24 +108,27 @@ class ChatResponse:
     completion_tokens: int | None = None
 
 
+# Renders what prompt_digest and request_cache_key hash; sort_keys leaves a
+# list's bytes as json.dumps(..., ensure_ascii=False) gave them.
+_KEY_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
 def prompt_digest(messages: Iterable[ChatMessage]) -> str:
     """Stable sha256 over the rendered message list; keys the mock script."""
-    payload = json.dumps([[m.role, m.content] for m in messages], ensure_ascii=False)
+    payload = _KEY_ENCODER.encode([[m.role, m.content] for m in messages])
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def request_cache_key(request: ChatRequest) -> str:
     """Cache key covering model, messages and decoding params."""
-    payload = json.dumps(
+    payload = _KEY_ENCODER.encode(
         {
             "model": request.model,
             "messages": [[m.role, m.content] for m in request.messages],
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
             "top_p": None,  # no request sets it; kept so existing cache keys do not change
-        },
-        ensure_ascii=False,
-        sort_keys=True,
+        }
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -318,7 +321,7 @@ class ResponseCache:
 
     def put(self, key: str, response: ChatResponse) -> None:
         entry = ChatResponse(content=response.content, finish_reason=response.finish_reason)
-        line = json.dumps({"key": key, "content": entry.content, "finish_reason": entry.finish_reason}, ensure_ascii=False)
+        line = _LINE_ENCODER.encode({"key": key, "content": entry.content, "finish_reason": entry.finish_reason})
         data = f"{line}\n".encode("utf-8")
         with self._lock:
             try:

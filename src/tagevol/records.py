@@ -244,13 +244,17 @@ def load_dataset(path: str | Path) -> list[InstructionRecord]:
     return records
 
 
+# One JSON line per record or cache entry. Shared, since json.dumps builds a
+# new encoder on every call that passes an option.
+_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def write_dataset(records: Sequence[InstructionRecord], path: str | Path) -> None:
     """Write records as JSONL; reruns with equal input are byte-identical."""
 
     def write(fh) -> None:
         for record in records:
-            fh.write(json.dumps(record_to_json(record), ensure_ascii=False))
-            fh.write("\n")
+            fh.write(_LINE_ENCODER.encode(record_to_json(record)) + "\n")
 
     _replace_file(path, write)
 

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 
 import pytest
 
-from helpers import build_pipeline_script, make_pool, make_records, run_python, write_script
+from helpers import as_records, build_pipeline_script, make_pool, make_records, random_texts, run_python, write_script
 from tagevol.cli import EXIT_BACKEND, EXIT_INPUT, EXIT_OK, EXIT_PRECONDITION, main
 from tagevol.gateway import HttpBackend, MockBackend, request_cache_key
+from tagevol.leakage import count_matches, count_matches_many
 from tagevol.records import InstructionRecord, load_dataset, manifest_path, write_dataset
 from tagevol.tagging import save_pool
 
@@ -302,7 +304,7 @@ def test_leakage_out_flag_writes_the_report(tmp_path, capsys):
 @pytest.mark.parametrize("where", ["in_a_missing_directory", "is_a_directory"])
 def test_leakage_unwritable_out_exits_2_before_any_count(where, tmp_path, capsys, monkeypatch):
     counted = []
-    monkeypatch.setattr("tagevol.cli.count_matches", lambda *args, **kwargs: counted.append(args))
+    monkeypatch.setattr("tagevol.cli.count_matches_many", lambda *args, **kwargs: counted.append(args))
     synth_path = tmp_path / "synth.jsonl"
     synth_path.write_text(json.dumps({"instruction": "x y z"}) + "\n", encoding="utf-8")
     out = tmp_path / "missing" / "report.json"
@@ -340,6 +342,47 @@ def test_leakage_names_each_report_by_the_benchmark_path_as_given(tmp_path, caps
     reports = json.loads(capsys.readouterr().out)["reports"]
     assert [r["benchmark"] for r in reports] == ["gsm8k/test.jsonl", "math/test.jsonl"]
     assert [r["matched_pairs"] for r in reports] == [1, 1]
+
+
+def _write_leakage_corpus(directory):
+    """A synthetic set and two benchmarks holding copies of some of its
+    records, so that every n up to 8 has matches and samples."""
+    rng = random.Random(17)
+    synth = as_records(random_texts(rng, 60, vocab_size=40, min_len=8, max_len=30))
+    write_dataset(synth, directory / "synth.jsonl")
+    benches = {}
+    for name in ("gsm8k.jsonl", "math.jsonl"):
+        texts = random_texts(rng, 20, vocab_size=40, min_len=8, max_len=30)
+        benches[name] = as_records(texts + [rng.choice(synth).instruction for _ in range(3)], prefix=name)
+        write_dataset(benches[name], directory / name)
+    return synth, benches
+
+
+def test_leakage_makes_one_pass_per_n_and_reports_in_command_line_order(tmp_path, capsys, monkeypatch):
+    synth, benches = _write_leakage_corpus(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    passes = []
+
+    def one_pass(synth_records, benchmarks, n):
+        passes.append((n, [name for name, _ in benchmarks]))
+        return count_matches_many(synth_records, benchmarks, n)
+
+    monkeypatch.setattr("tagevol.cli.count_matches_many", one_pass)
+    assert main(["leakage", "synth.jsonl", "gsm8k.jsonl", "math.jsonl", "--ngrams", "8", "2", "8"]) == EXIT_OK
+    assert passes == [(8, ["gsm8k.jsonl", "math.jsonl"]), (2, ["gsm8k.jsonl", "math.jsonl"])]
+    assert json.loads(capsys.readouterr().out)["reports"] == [
+        count_matches(synth, bench, n, benchmark_name=name).to_json() for name, bench in benches.items() for n in (8, 2, 8)
+    ]
+
+
+def test_leakage_rejects_an_n_below_one_before_any_count(tmp_path, capsys, monkeypatch):
+    passes = []
+    monkeypatch.setattr("tagevol.cli.count_matches_many", lambda *args: passes.append(args))
+    synth_path = tmp_path / "synth.jsonl"
+    write_dataset(make_records(1), synth_path)
+    assert main(["leakage", str(synth_path), str(synth_path), "--ngrams", "8", "0"]) == EXIT_PRECONDITION
+    assert passes == []
+    assert json.loads(capsys.readouterr().err) == {"error": "precondition_error", "message": "n must be >= 1"}
 
 
 def test_stats_command_prints_a_report(tmp_path, capsys):
@@ -990,6 +1033,22 @@ def test_the_pipeline_writes_the_same_bytes_under_any_hash_seed(tmp_path, monkey
         trees.append((outputs, files))
     assert len(trees[0][1]) == 18  # 2 inputs and 16 artifacts
     assert trees[0] == trees[1]
+
+
+def test_leakage_reports_are_the_same_bytes_under_any_hash_seed(tmp_path, monkeypatch):
+    synth, benches = _write_leakage_corpus(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for hash_seed in ("0", "1"):
+        monkeypatch.setenv("PYTHONHASHSEED", hash_seed)
+        runs.append(_cli_process("leakage", "synth.jsonl", "gsm8k.jsonl", "math.jsonl", "--ngrams", "1", "3", "8"))
+    assert [run.returncode for run in runs] == [EXIT_OK, EXIT_OK]
+    assert runs[0].stdout == runs[1].stdout
+    reports = json.loads(runs[0].stdout)["reports"]
+    assert all(report["samples"] for report in reports)
+    assert reports == [
+        count_matches(synth, bench, n, benchmark_name=name).to_json() for name, bench in benches.items() for n in (1, 3, 8)
+    ]
 
 
 def test_a_failed_run_puts_its_warnings_into_its_one_stderr_line(tmp_path):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,14 @@ from hypothesis import strategies as st
 from helpers import as_records, leakage_oracle, leakage_report_oracle, random_texts
 from tagevol import leakage
 from tagevol.errors import PreconditionError
-from tagevol.leakage import count_matches, extract_ngrams
+from tagevol.leakage import count_matches, count_matches_many, extract_ngrams
+
+
+def _report(synth, bench, n: int, max_samples: int, collide: bool) -> dict:
+    """``count_matches``' report as JSON; with ``collide``, every gram and anchor
+    digest is 0, so only the confirmation against the items' words tells grams apart."""
+    with mock.patch.object(leakage, "_digest", (lambda value: 0) if collide else leakage._digest):
+        return count_matches(synth, bench, n, max_samples=max_samples).to_json()
 
 
 def test_bigram_extraction():
@@ -77,11 +86,12 @@ _small_corpus = st.lists(
     bench_texts=_small_corpus,
     n=st.integers(min_value=1, max_value=4),
     max_samples=st.sampled_from([0, 1, 3, 50]),
+    collide=st.booleans(),
 )
-def test_report_equals_all_pairs_oracle_samples_included(synth_texts, bench_texts, n, max_samples):
+def test_report_equals_all_pairs_oracle_samples_included(synth_texts, bench_texts, n, max_samples, collide):
     synth = as_records(synth_texts)
     bench = as_records(bench_texts, prefix="b")
-    report = count_matches(synth, bench, n, max_samples=max_samples).to_json()
+    report = _report(synth, bench, n, max_samples, collide)
     expected = leakage_report_oracle(synth, bench, n, max_samples)
     assert report == {"benchmark": "benchmark", "n": n, "benchmark_size": len(bench), **expected}
 
@@ -105,11 +115,12 @@ _folding_corpus = st.lists(
     bench_texts=_folding_corpus,
     n=st.integers(min_value=1, max_value=5),
     max_samples=st.sampled_from([0, 1, 3, 50]),
+    collide=st.booleans(),
 )
-def test_report_equals_oracle_across_separators_and_case_folding(synth_texts, bench_texts, n, max_samples):
+def test_report_equals_oracle_across_separators_and_case_folding(synth_texts, bench_texts, n, max_samples, collide):
     synth = as_records(synth_texts)
     bench = as_records(bench_texts, prefix="b")
-    report = count_matches(synth, bench, n, max_samples=max_samples).to_json()
+    report = _report(synth, bench, n, max_samples, collide)
     expected = leakage_report_oracle(synth, bench, n, max_samples)
     assert report == {"benchmark": "benchmark", "n": n, "benchmark_size": len(bench), **expected}
 
@@ -139,21 +150,43 @@ def _planted_long_corpus(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(corpus=_planted_long_corpus(), max_samples=st.sampled_from([0, 1, 3, 50]))
-def test_report_equals_oracle_for_long_grams_planted_anywhere(corpus, max_samples):
+@given(corpus=_planted_long_corpus(), max_samples=st.sampled_from([0, 1, 3, 50]), collide=st.booleans())
+def test_report_equals_oracle_for_long_grams_planted_anywhere(corpus, max_samples, collide):
     n, synth_texts, bench_texts = corpus
     synth = as_records(synth_texts)
     bench = as_records(bench_texts, prefix="b")
-    report = count_matches(synth, bench, n, max_samples=max_samples).to_json()
+    report = _report(synth, bench, n, max_samples, collide)
     expected = leakage_report_oracle(synth, bench, n, max_samples)
     assert report == {"benchmark": "benchmark", "n": n, "benchmark_size": len(bench), **expected}
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    synth_texts=_small_corpus,
+    bench_corpora=st.lists(_small_corpus, min_size=1, max_size=3),
+    repeat=st.booleans(),
+    n=st.integers(min_value=1, max_value=4),
+    max_samples=st.sampled_from([0, 1, 3, 50]),
+)
+def test_one_pass_over_many_benchmarks_equals_one_call_per_benchmark(synth_texts, bench_corpora, repeat, n, max_samples):
+    synth = as_records(synth_texts)
+    benchmarks = [(f"bench{i}", as_records(texts, prefix=f"b{i}")) for i, texts in enumerate(bench_corpora)]
+    if repeat:
+        benchmarks.append(benchmarks[0])
+    reports = count_matches_many(synth, benchmarks, n, max_samples)
+    assert [report.to_json() for report in reports] == [
+        count_matches(synth, bench, n, benchmark_name=name, max_samples=max_samples).to_json() for name, bench in benchmarks
+    ]
+    for report, (name, bench) in zip(reports, benchmarks):
+        expected = leakage_report_oracle(synth, bench, n, max_samples)
+        assert report.to_json() == {"benchmark": name, "n": n, "benchmark_size": len(bench), **expected}
+
+
 def _placements(n: int):
-    """(offset, tail) for a gram starting at each offset 0 .. 2 * stride, with
-    filler after it or ending the record, where stride = n - min(n, 2) + 1."""
-    stride = n - min(n, 2) + 1
-    return [(offset, tail) for offset in range(2 * stride + 1) for tail in (0, 3)]
+    """(offset, tail) for a gram starting at each offset 0 .. 2 * max(n - 1, 1),
+    which spans two anchor strides (n - min(n, 3) + 1 words each), with filler
+    after it or ending the record."""
+    return [(offset, tail) for offset in range(2 * max(n - 1, 1) + 1) for tail in (0, 3)]
 
 
 @pytest.mark.parametrize(("n", "offset", "tail"), [(n, *p) for n in (1, 8, 13) for p in _placements(n)])
@@ -171,18 +204,49 @@ def test_gram_is_found_at_every_anchor_phase(n, offset, tail):
 
 @pytest.mark.parametrize("synth_size", [0, 1, 40])
 def test_synthetic_side_does_not_extract_ngrams(monkeypatch, synth_size):
-    calls = []
-
-    def counting(text, n):
-        calls.append(text)
-        return extract_ngrams(text, n)
-
-    monkeypatch.setattr(leakage, "extract_ngrams", counting)
+    """No gram string is built, and each synthetic record hashes exactly the
+    n-word windows around its anchors found in the benchmark: none when no
+    anchor matches. Here n = 5, so anchors are word triples at every 3rd word."""
+    n, stride = 5, 3
+    extracted = []
+    monkeypatch.setattr(leakage, "extract_ngrams", lambda text, n: extracted.append(text))
     rng = random.Random(3)
-    synth = as_records(random_texts(rng, synth_size))
     bench = as_records(random_texts(rng, 7), prefix="b")
-    count_matches(synth, bench, 3)
-    assert len(calls) == len(bench)
+    # The first half starts with a copied benchmark item; the second half uses
+    # words that no benchmark item holds.
+    half = (synth_size + 1) // 2
+    matching = [bench[0].instruction, *random_texts(rng, half)][:half]
+    synth = as_records(matching + [t.replace("w", "x") for t in random_texts(rng, synth_size - half)])
+
+    def hashed_grams(synth_records) -> Counter:
+        hashed = Counter()
+
+        def recording(value):
+            if len(value) == n:
+                hashed[value] += 1
+            return hash(value)
+
+        monkeypatch.setattr(leakage, "_digest", recording)
+        count_matches(synth_records, bench, n)
+        return hashed
+
+    synth_side = hashed_grams(synth) - hashed_grams([])
+    triples = set()
+    for item in bench:
+        words = item.instruction.lower().split()
+        if len(words) >= n:
+            triples.update(zip(words, words[1:], words[2:]))
+    expected = Counter()
+    for record in synth:
+        words = record.instruction.lower().split()
+        for anchor in range(0, len(words) - 2, stride):
+            if tuple(words[anchor : anchor + 3]) in triples:
+                for start in range(max(anchor - stride + 1, 0), min(anchor, len(words) - n) + 1):
+                    expected[tuple(words[start : start + n])] += 1
+    assert synth_side == expected
+    assert not any(word.startswith("x") for gram in synth_side for word in gram)
+    assert bool(expected) == (synth_size > 0)
+    assert extracted == []
 
 
 def test_unigram_probe_matches_single_words():
@@ -242,6 +306,21 @@ def test_peak_memory_does_not_grow_with_the_synthetic_side():
     small = _peak_traced_bytes(synth[:400], bench, 8)
     large = _peak_traced_bytes(synth, bench, 8)
     assert large < 2 * small, (small, large)
+
+
+def test_peak_memory_per_benchmark_gram_is_bounded():
+    # The peak per gram saws with the benchmark's size, since the gram index
+    # and the anchor set are hash tables that double as they fill: about 158
+    # to 210 B at 2k to 4k items of 60 words. At 5k items of 60 words and
+    # n = 13 it is 158 B; an index keyed by gram text took 429 B.
+    rng = random.Random(11)
+    bench = as_records(random_texts(rng, 5000, vocab_size=20000, min_len=60, max_len=60), prefix="b")
+    # Unrelated records plus 5 copied benchmark items, so the peak includes matching.
+    synth_texts = random_texts(rng, 300, vocab_size=20000, min_len=20, max_len=40)
+    synth = as_records(synth_texts + [item.instruction for item in bench[:5]])
+    grams = sum(len(extract_ngrams(item.instruction, 13)) for item in bench)
+    peak = _peak_traced_bytes(synth, bench, 13)
+    assert peak <= 200 * grams, f"{peak / grams:.0f} B per benchmark gram"
 
 
 def test_matched_counts_are_nonincreasing_in_n():

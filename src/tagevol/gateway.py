@@ -269,73 +269,95 @@ class HttpBackend:
         )
 
 
+# A cache entry's place in its file, packed into one int: offset << _SPAN_BITS | length.
+# A line of 4 GiB or more would read back wrong, and so be a miss.
+_SPAN_BITS = 32
+_SPAN_MASK = (1 << _SPAN_BITS) - 1
+
+
+def _cache_entry(line: bytes) -> tuple[str, str, str] | None:
+    """``(key, content, finish_reason)`` of a cache line, or None for a line the cache skips."""
+    try:
+        obj = json.loads(line)
+        entry = obj["key"], obj["content"], obj.get("finish_reason", "stop")
+    except (ValueError, LookupError, TypeError, RecursionError):
+        return None
+    return entry if all(isinstance(text, str) for text in entry) and _is_unicode(*entry[1:]) else None
+
+
 class ResponseCache:
     """Disk-persisted prompt cache; one JSON line per stored response.
 
-    Reads take no lock: ``get`` is one dictionary lookup, which sees either
-    no entry or a complete one. Appends are serialized by a lock, so each
-    entry is one whole line of the file. The file is opened once, on the
-    first put, and each entry is one write to that descriptor, which is
-    closed when the cache is collected. On load, the last line for a key wins and
-    torn or malformed lines are ignored, as is an entry whose ``key``,
-    ``content`` or ``finish_reason`` is not a string, or whose text holds a
-    lone surrogate (which :meth:`Gateway.complete` never accepts). The file
-    is read line by line, so a load holds one line beyond the entries it
-    keeps. A directory that cannot be created or read raises
-    :class:`LoadError`, and an append that cannot be written raises
-    :class:`WriteError`, which stops the stage.
+    Memory holds an index, not replies: each key's line span. ``get`` takes
+    no lock; it reads that line back with ``os.pread`` and parses it by the
+    load rules, and a line that does not parse or names another key (a file
+    changed under a live cache) is a miss. Appends are serialized by a lock,
+    and a key is indexed only once its whole line is written, so ``get`` sees
+    no entry or a whole one. The file is opened for appends once, on the
+    first put; every descriptor is closed when the cache is collected. On
+    load, the last line for a key wins and torn or malformed lines are
+    ignored, as is an entry whose ``key``, ``content`` or ``finish_reason`` is
+    not a string, or whose text holds a lone surrogate (which
+    :meth:`Gateway.complete` never accepts). After a torn last line or a
+    failed append, the next entry starts on a new line. A directory that
+    cannot be created or read raises :class:`LoadError`, and an append that
+    cannot be written raises :class:`WriteError`, which stops the stage.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.path = self.directory / "responses.jsonl"
         self._lock = threading.Lock()
-        self._entries: dict[str, ChatResponse] = {}
-        self._fd: int | None = None
-        line = b""
+        self._spans: dict[str, int] = {}
+        self._fd: int | None = None  # appends, opened on the first put
+        self._reader: int | None = None  # what get reads: the file as loaded, else the append descriptor
+        offset, line = 0, b""
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             if self.path.exists():
+                self._reader = os.open(self.path, os.O_RDONLY)
+                weakref.finalize(self, os.close, self._reader)
                 # Bytes, not text: a torn last line may end inside a UTF-8
                 # character, and json.loads then rejects just that line.
-                with self.path.open("rb") as lines:
+                with open(self._reader, "rb", closefd=False) as lines:
                     for line in lines:
-                        self._load_line(line)
+                        entry = _cache_entry(line)
+                        if entry is not None:
+                            self._spans[entry[0]] = offset << _SPAN_BITS | len(line)
+                        offset += len(line)
         except (OSError, ValueError) as err:  # ValueError: a path holding a NUL, which a config file can give
             raise LoadError(self.directory, 0, f"cannot use as a response cache directory: {err}") from err
-        # The first append starts a new line, so a torn last line loses no new entry.
         self._torn = bool(line) and not line.endswith(b"\n")
 
-    def _load_line(self, line: bytes) -> None:
-        try:
-            obj = json.loads(line)
-            key, content, finish_reason = obj["key"], obj["content"], obj.get("finish_reason", "stop")
-        except (ValueError, LookupError, TypeError, RecursionError):
-            return
-        if isinstance(key, str) and isinstance(content, str) and isinstance(finish_reason, str):
-            if _is_unicode(content, finish_reason):
-                self._entries[key] = ChatResponse(content=content, finish_reason=finish_reason)
-
     def get(self, key: str) -> ChatResponse | None:
-        return self._entries.get(key)
+        span = self._spans.get(key)
+        if span is None:
+            return None
+        try:
+            entry = _cache_entry(os.pread(self._reader, span & _SPAN_MASK, span >> _SPAN_BITS))
+        except OSError:
+            return None
+        return ChatResponse(content=entry[1], finish_reason=entry[2]) if entry and entry[0] == key else None
 
     def put(self, key: str, response: ChatResponse) -> None:
-        entry = ChatResponse(content=response.content, finish_reason=response.finish_reason)
-        line = _LINE_ENCODER.encode({"key": key, "content": entry.content, "finish_reason": entry.finish_reason})
+        line = _LINE_ENCODER.encode({"key": key, "content": response.content, "finish_reason": response.finish_reason})
         data = f"{line}\n".encode("utf-8")
         with self._lock:
             try:
                 if self._fd is None:
-                    self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+                    self._fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
                     weakref.finalize(self, os.close, self._fd)
-                    if self._torn:
-                        data = b"\n" + data
-                view = memoryview(data)
+                    if self._reader is None:
+                        self._reader = self._fd
+                view = memoryview(b"\n" + data if self._torn else data)
+                self._torn = True  # until the whole line is written
                 while view:
                     view = view[os.write(self._fd, view) :]
+                self._torn = False
+                end = os.lseek(self._fd, 0, os.SEEK_CUR)  # O_APPEND: just past this line
             except OSError as err:
                 raise WriteError(f"cannot write {self.path}: {err}") from err
-            self._entries[key] = entry
+            self._spans[key] = (end - len(data)) << _SPAN_BITS | len(data)
 
 
 class _Slots:

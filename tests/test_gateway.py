@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import errno
+import gc
 import hashlib
 import json
 import logging
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from helpers import ReplySequenceBackend, SynthesizingBackend, make_pool, make_records
-from tagevol.errors import LoadError, ParseError, PreconditionError, RecordError
+from tagevol.errors import LoadError, ParseError, PreconditionError, RecordError, WriteError
 from tagevol.evolution import evolve_rounds
 from tagevol.gateway import (
     AuthError,
@@ -607,6 +609,23 @@ def test_cache_load_peaks_below_twice_the_file_size(tmp_path):
     assert peak < 2 * size
 
 
+@pytest.mark.parametrize("reply_size", [200, 1024, 4096], ids=["200B", "1KB", "4KB"])
+def test_a_loaded_cache_retains_at_most_250_bytes_per_entry_whatever_the_reply_size(reply_size, tmp_path):
+    cache = ResponseCache(tmp_path / "cache")
+    keys = [hashlib.sha256(str(i).encode("ascii")).hexdigest() for i in range(2000)]
+    for i, key in enumerate(keys):
+        cache.put(key, ChatResponse(content=f"{i:>6} " + "x" * (reply_size - 7)))
+    del cache
+    tracemalloc.start()
+    try:
+        loaded = ResponseCache(tmp_path / "cache")
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(len(loaded.get(key).content) == reply_size for key in keys)
+    assert retained <= 250 * len(keys)
+
+
 def test_concurrent_puts_all_persist(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
 
@@ -678,6 +697,14 @@ def test_cache_opens_its_file_once_however_many_puts(tmp_path, monkeypatch):
         for i in range(20):
             cache.put(f"key-{i}", ChatResponse(content=f"reply {i}"))
     assert [Path(path) for path in opened] == [tmp_path / name / "responses.jsonl" for name in ("a", "b")]
+    # Reloaded, the cache opens the file once to load and read it, and once more for every append.
+    opened.clear()
+    cache = ResponseCache(tmp_path / "a")
+    for i in range(20):
+        assert cache.get(f"key-{i}").content == f"reply {i}"
+        cache.put(f"key-{i + 20}", ChatResponse(content=f"reply {i + 20}"))
+        assert cache.get(f"key-{i + 20}").content == f"reply {i + 20}"
+    assert [Path(path) for path in opened] == [tmp_path / "a" / "responses.jsonl"] * 2
 
 
 def test_put_after_a_torn_last_line_starts_a_new_line(tmp_path):
@@ -695,6 +722,94 @@ def test_put_after_a_torn_last_line_starts_a_new_line(tmp_path):
     assert reloaded.get("new").content == "appended"
     assert reloaded.get("newer").content == "appended again"
     assert reloaded.get("torn") is None
+
+
+def test_an_append_after_a_failed_one_starts_a_new_line(tmp_path, monkeypatch):
+    cache = ResponseCache(tmp_path / "cache")
+    cache.put("first", ChatResponse(content="one"))
+    real_write = os.write
+    failed = []
+
+    def half_then_no_space(fd, data):
+        if failed:
+            return real_write(fd, data)
+        failed.append(real_write(fd, bytes(data[: len(data) // 2])))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "write", half_then_no_space)
+    with pytest.raises(WriteError):
+        cache.put("second", ChatResponse(content="two"))
+    assert failed and failed[0] > 0
+    assert cache.get("second") is None
+    cache.put("third", ChatResponse(content="three"))
+    assert cache.get("third").content == "three"
+    reloaded = ResponseCache(tmp_path / "cache")
+    assert reloaded.get("first").content == "one"
+    assert reloaded.get("second") is None
+    assert reloaded.get("third").content == "three"
+
+
+def test_a_cached_rerun_whose_cache_file_cannot_be_written_serves_every_hit(tmp_path, monkeypatch):
+    requests = [_request(f"item {n}") for n in range(5)]
+    first = Gateway(ReplySequenceBackend([f"reply {n}" for n in range(5)]), cache=ResponseCache(tmp_path / "cache"))
+    assert [first.complete(request).content for request in requests] == [f"reply {n}" for n in range(5)]
+    real_open = os.open
+
+    def refuse_writes(path, flags, *args, **kwargs):
+        # The refusal a read-only file gives, also to a test run as root.
+        if flags & (os.O_WRONLY | os.O_RDWR):
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", refuse_writes)
+    backend = ReplySequenceBackend()
+    rerun = Gateway(backend, cache=ResponseCache(tmp_path / "cache"))
+    assert [rerun.complete(request).content for request in requests] == [f"reply {n}" for n in range(5)]
+    assert backend.sends == 0
+
+
+@pytest.mark.parametrize("reader", ["append", "loaded"], ids=["read_through_the_append_descriptor", "read_as_loaded"])
+@pytest.mark.parametrize("change", ["truncated", "rotated", "shifted"])
+def test_get_after_the_file_changes_under_a_live_cache_is_a_miss_never_another_key(change, reader, tmp_path):
+    requests = [_request(f"prompt {i}") for i in range(10)]
+    keys = [request_cache_key(request) for request in requests]
+    cache = ResponseCache(tmp_path / "cache")
+    for i, key in enumerate(keys):
+        cache.put(key, ChatResponse(content=f"reply {i}"))  # lines of one length
+    if reader == "loaded":
+        cache = ResponseCache(tmp_path / "cache")
+    assert [cache.get(key).content for key in keys] == [f"reply {i}" for i in range(10)]
+    path = tmp_path / "cache" / "responses.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    # In place, as a second writer would: the cache's descriptors see the new bytes.
+    changed = {"truncated": [], "rotated": lines[1:] + lines[:1], "shifted": [b'{"key": "other", "content": "x"}\n'] + lines}[change]
+    path.write_bytes(b"".join(changed))
+    assert [cache.get(key) for key in keys] == [None] * 10
+    # Each miss is sent once more, and the new line serves every later hit.
+    backend = ReplySequenceBackend([f"repaired {i}" for i in range(10)])
+    gateway = Gateway(backend, cache=cache)
+    for _ in range(2):
+        assert [gateway.complete(request).content for request in requests] == [f"repaired {i}" for i in range(10)]
+    assert backend.sends == 10
+    reloaded = ResponseCache(tmp_path / "cache")
+    assert [reloaded.get(key).content for key in keys] == [f"repaired {i}" for i in range(10)]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd, which Linux has")
+@pytest.mark.parametrize("existing", [False, True], ids=["new_file", "existing_file"])
+def test_every_descriptor_a_cache_opens_is_closed_once_it_is_collected(existing, tmp_path):
+    if existing:
+        ResponseCache(tmp_path / "cache").put("old", ChatResponse(content="old reply"))
+    gc.collect()
+    before = len(os.listdir("/proc/self/fd"))
+    cache = ResponseCache(tmp_path / "cache")
+    cache.put("new", ChatResponse(content="new reply"))
+    assert cache.get("new").content == "new reply"
+    assert existing is (cache.get("old") is not None)
+    assert len(os.listdir("/proc/self/fd")) == before + (2 if existing else 1)
+    del cache
+    gc.collect()
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 @pytest.mark.parametrize(

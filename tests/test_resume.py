@@ -1,5 +1,7 @@
-"""Kill-and-resume: an ``evolve`` run killed mid-stage and rerun gives the
-outputs of an uninterrupted run, and resends only what the kill left unsettled.
+"""Kill-and-resume: an ``evolve`` or ``respond`` run killed mid-stage and
+rerun gives the outputs of an uninterrupted run, and resends only what the
+kill left unsettled. A killed ``respond`` without ``--out`` leaves the input
+it rewrites in place whole.
 
 The backend is a local HTTP server whose reply is a pure function of the
 prompt, so every run sees the same replies. A seeded share of the first
@@ -163,7 +165,13 @@ def served():
         httpd.server_close()
 
 
-def _evolve(run_dir: Path, endpoint: str, backend: _Backend) -> subprocess.Popen:
+STAGE_ARGS = {
+    "evolve": ["seed.jsonl", "pool.json", "rounds", "--budgets", *map(str, BUDGETS), "--seed", str(MASTER_SEED)],
+    "respond": ["data.jsonl"],  # no --out: the input is rewritten in place
+}
+
+
+def _run(stage: str, run_dir: Path, endpoint: str, backend: _Backend) -> subprocess.Popen:
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
@@ -171,8 +179,7 @@ def _evolve(run_dir: Path, endpoint: str, backend: _Backend) -> subprocess.Popen
         "no_proxy": "127.0.0.1",
     }
     argv = [
-        sys.executable, "-m", "tagevol.cli", "evolve", "seed.jsonl", "pool.json", "rounds",
-        "--budgets", *map(str, BUDGETS), "--seed", str(MASTER_SEED), "--model", "m",
+        sys.executable, "-m", "tagevol.cli", stage, *STAGE_ARGS[stage], "--model", "m",
         "--endpoint", endpoint, "--max-in-flight", "2", "--cache-dir", "cache",
     ]  # fmt: skip
     child = subprocess.Popen(argv, cwd=run_dir, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
@@ -190,8 +197,12 @@ def _finish(child: subprocess.Popen) -> tuple[int, str]:
     return child.returncode, err
 
 
-def _tree(root: Path) -> dict[str, bytes]:
-    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+def _tree(root: Path, skip: str | None = None) -> dict[str, bytes]:
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path.relative_to(root).parts[0] != skip
+    }
 
 
 def test_a_killed_evolve_resumes_to_the_uninterrupted_outputs(served, tmp_path):
@@ -205,13 +216,13 @@ def test_a_killed_evolve_resumes_to_the_uninterrupted_outputs(served, tmp_path):
 
     backend.start("killed", child_cache_file=runs["resumed"] / "cache" / "responses.jsonl")
     killed_endpoint = endpoint.replace("/v1/", KILLED_PREFIX + "/v1/", 1)
-    returncode = _finish(_evolve(runs["resumed"], killed_endpoint, backend))[0]
+    returncode = _finish(_run("evolve", runs["resumed"], killed_endpoint, backend))[0]
     assert backend.late is None, backend.late
     assert returncode == -signal.SIGKILL
     backend.start("resumed")
-    assert _finish(_evolve(runs["resumed"], endpoint, backend)) == (0, "")
+    assert _finish(_run("evolve", runs["resumed"], endpoint, backend)) == (0, "")
     backend.start("reference")
-    assert _finish(_evolve(runs["reference"], endpoint, backend)) == (0, "")
+    assert _finish(_run("evolve", runs["reference"], endpoint, backend)) == (0, "")
 
     reference = _tree(runs["reference"] / "rounds")
     assert len(reference) == 2 * len(BUDGETS) + 1  # round files, their manifests, failures.json
@@ -227,3 +238,39 @@ def test_a_killed_evolve_resumes_to_the_uninterrupted_outputs(served, tmp_path):
     killed_sent = set(backend.sent("killed"))
     assert {digest for digest in resumed if digest in killed_sent} <= unsettled
     assert sorted(resumed + list(killed_valid)) == sorted(backend.sent("reference"))
+
+
+def test_a_killed_respond_leaves_its_input_whole_and_resumes_to_the_uninterrupted_output(served, tmp_path):
+    _, _, backend, endpoint = served
+    records = make_records(2 * SEEDS, prefix="item")
+    runs = {}
+    for name in ("resumed", "reference"):
+        runs[name] = tmp_path / name
+        runs[name].mkdir()
+        write_dataset(records, runs[name] / "data.jsonl")
+    original = (runs["resumed"] / "data.jsonl").read_bytes()
+
+    backend.start("killed", child_cache_file=runs["resumed"] / "cache" / "responses.jsonl")
+    killed_endpoint = endpoint.replace("/v1/", KILLED_PREFIX + "/v1/", 1)
+    returncode = _finish(_run("respond", runs["resumed"], killed_endpoint, backend))[0]
+    assert backend.late is None, backend.late
+    assert returncode == -signal.SIGKILL
+    # The input it rewrites in place is whole, and nothing else is written beside the cache.
+    assert _tree(runs["resumed"], skip="cache") == {"data.jsonl": original}
+    backend.start("resumed")
+    assert _finish(_run("respond", runs["resumed"], endpoint, backend)) == (0, "")
+    backend.start("reference")
+    assert _finish(_run("respond", runs["reference"], endpoint, backend)) == (0, "")
+
+    reference = _tree(runs["reference"], skip="cache")
+    assert sorted(reference) == ["data.failures.json", "data.jsonl"]
+    assert _tree(runs["resumed"], skip="cache") == reference
+
+    killed_valid = backend.sent("killed", "valid")
+    resumed = backend.sent("resumed")
+    assert killed_valid and backend.sent("killed", "unanswered")
+    assert backend.sent("killed", "malformed") == []  # any reply is a response
+    # The rerun sends each prompt the killed run got no reply to, once, and nothing else.
+    every_prompt = {_digest(record.instruction) for record in records}
+    assert sorted(resumed) == sorted(every_prompt - set(killed_valid))
+    assert sorted(resumed + killed_valid) == sorted(backend.sent("reference"))

@@ -5,22 +5,23 @@ matched when it shares at least one n-gram with any synthesized instruction.
 Both counting modes are reported: matched benchmark items, and matched
 (synth, benchmark) pairs.
 
-For one n, every benchmark is indexed and the synthesized side streamed once,
-so memory grows with the sum of the benchmarks' grams, not with the
-synthesized side. The index is keyed by the hash of each n-word tuple and the
-anchor set by the hash of each anchor tuple, so neither keeps a string alive;
-every index hit is confirmed against the benchmark item's own n-word tuples,
-so a hash collision never counts as a match, and only the ``max_samples``
-smallest matches are kept for the samples. Each n-word window holds exactly
-one anchor, the ``min(n, 3)``-word tuple at a multiple of ``n - min(n, 3) + 1``;
-only windows around an anchor found in a benchmark are hashed, each at most once.
+For one n, the items of every benchmark share one index and the synthesized
+side is streamed once, so memory grows with the sum of the benchmarks' grams,
+not with the synthesized side. The index is keyed by the hash of each n-word
+tuple and the anchor set by the hash of each anchor tuple, so neither keeps a
+string alive; every index hit is confirmed against the benchmark item's own
+n-word tuples, so a hash collision never counts as a match, and only the
+``max_samples`` smallest matches per benchmark are kept for the samples. Each
+n-word window holds exactly one anchor, the ``min(n, 3)``-word tuple at a
+multiple of ``n - min(n, 3) + 1``; only windows around an anchor found in a
+benchmark are hashed and looked up, each once, whatever the number of benchmarks.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import compress
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import PreconditionError
 from .records import InstructionRecord
@@ -66,89 +67,6 @@ class LeakageReport:
         return asdict(self)
 
 
-class _Index:
-    """One benchmark's hashed gram index, the gram sets of the items it hit, its tallies and samples."""
-
-    __slots__ = ("records", "n", "positions", "item_grams", "partner_counts", "max_samples", "samples", "worst")
-
-    def __init__(
-        self, records: Sequence[InstructionRecord], n: int, max_samples: int, digest: Callable[[tuple], int], anchor_keys: set[int]
-    ):
-        self.records = records
-        self.n = n
-        # digest -> position of the one item holding it, or a list of positions
-        # when items share it (a list, so a gram common to k items costs O(k)).
-        self.positions: dict[int, int | list[int]] = {}
-        self.item_grams: dict[int, set[tuple[str, ...]]] = {}
-        self.partner_counts = [0] * len(records)
-        # The smallest (position, gram) matches so far, each with its first
-        # synthesized holder, and the largest of them once there are enough.
-        self.max_samples = max(max_samples, 0)
-        self.samples: dict[tuple[int, str], int] = {}
-        self.worst: tuple[int, str] | None = None
-        width = min(n, 3)
-        for position, record in enumerate(records):
-            words = record.instruction.lower().split()
-            if len(words) < n:
-                continue
-            grams = dict.fromkeys(map(digest, _windows(words, n)), position)
-            for key in grams.keys() & self.positions.keys():
-                held = self.positions[key]
-                if isinstance(held, list):
-                    held.append(position)
-                else:
-                    held = [held, position]
-                grams[key] = held
-            self.positions.update(grams)
-            anchor_keys.update(map(digest, _anchors(words, width)))
-
-    def probe(self, grams: list[tuple[str, ...]], keys: list[int], holder: int, hit: set[int]) -> None:
-        """Add to ``hit`` the items holding any of ``grams``, whose digests are
-        ``keys``; ``holder`` is the position of the synthesized record probed."""
-        for gram, key in compress(zip(grams, keys), map(self.positions.__contains__, keys)):
-            held = self.positions[key]
-            for position in held if isinstance(held, list) else (held,):
-                if gram in self._grams_of(position):
-                    hit.add(position)
-                    self._sample(position, gram, holder)
-
-    def _sample(self, position: int, gram: tuple[str, ...], holder: int) -> None:
-        """Keep (position, gram) with its first holder while it is among the
-        ``max_samples`` smallest matches. A match left out is larger than every
-        kept one from then on, so it never returns with a later holder."""
-        full = len(self.samples) == self.max_samples
-        if full and (not self.samples or position > self.worst[0]):
-            return
-        sample = (position, " ".join(gram))
-        if sample in self.samples or (full and sample > self.worst):
-            return
-        if full:
-            del self.samples[self.worst]
-        self.samples[sample] = holder
-        if len(self.samples) == self.max_samples:
-            self.worst = max(self.samples)
-
-    def _grams_of(self, position: int) -> set[tuple[str, ...]]:
-        grams = self.item_grams.get(position)
-        if grams is None:
-            words = self.records[position].instruction.lower().split()
-            grams = self.item_grams[position] = set(_windows(words, self.n))
-        return grams
-
-    def report(self, name: str, synth_records: Sequence[InstructionRecord]) -> LeakageReport:
-        return LeakageReport(
-            benchmark=name,
-            n=self.n,
-            matched_benchmark_items=sum(1 for count in self.partner_counts if count),
-            matched_pairs=sum(self.partner_counts),
-            benchmark_size=len(self.records),
-            samples=[
-                {"gram": gram, "synth_id": synth_records[holder].id, "benchmark_id": self.records[position].id}
-                for (position, gram), holder in sorted(self.samples.items())
-            ],
-        )
-
-
 def count_matches_many(
     synth_records: Sequence[InstructionRecord],
     benchmarks: Sequence[tuple[str, Sequence[InstructionRecord]]],
@@ -157,38 +75,95 @@ def count_matches_many(
 ) -> list[LeakageReport]:
     """One report per ``(name, records)`` benchmark, in order, for one n.
 
-    Indexes every benchmark, then streams the synthesized records once, in
-    order, each split once as in ``extract_ngrams`` and probed at its anchors
-    (see the module docstring). Samples, in benchmark and sorted gram order,
-    name the first synthesized record holding each matched gram.
+    Indexes every benchmark's items together, then streams the synthesized
+    records once, in order, each split once as in ``extract_ngrams`` and probed
+    at its anchors (see the module docstring). Samples, in benchmark and sorted
+    gram order, name the first synthesized record holding each matched gram.
     """
     if n < 1:
         raise PreconditionError("n must be >= 1")
     digest = _digest
     width = min(n, 3)
     stride = n - width + 1
+    # Items are numbered benchmark by benchmark, so each benchmark's items sort
+    # in its own order; owners[item] is the benchmark holding the item.
+    items = [record for _, records in benchmarks for record in records]
+    owners = [owner for owner, (_, records) in enumerate(benchmarks) for _ in records]
+    # digest -> the one item holding it, or a list of items when items share
+    # it (a list, so a gram common to k items costs O(k)).
+    holders: dict[int, int | list[int]] = {}
     anchor_keys: set[int] = set()
-    indexes = [_Index(records, n, max_samples, digest, anchor_keys) for _, records in benchmarks]
+    for item, record in enumerate(items):
+        words = record.instruction.lower().split()
+        if len(words) < n:
+            continue
+        grams = dict.fromkeys(map(digest, _windows(words, n)), item)
+        for key in grams.keys() & holders.keys():
+            held = holders[key]
+            if isinstance(held, list):
+                held.append(item)
+            else:
+                held = [held, item]
+            grams[key] = held
+        holders.update(grams)
+        anchor_keys.update(map(digest, _anchors(words, width)))
+
+    item_grams: dict[int, set[tuple[str, ...]]] = {}
+    partner_counts = [0] * len(items)
+    # Per benchmark, the smallest (item, gram) matches so far, each with its
+    # first synthesized holder, and the largest of them once there are enough.
+    samples: list[dict[tuple[int, str], int]] = [{} for _ in benchmarks]
+    worst: list[tuple[int, str] | None] = [None] * len(benchmarks)
+
+    def sample(item: int, gram: tuple[str, ...], holder: int) -> None:
+        """Keep (item, gram) with its first holder while among its benchmark's ``max_samples`` smallest
+        matches. A match left out is larger than every kept one from then on, so never returns."""
+        owner = owners[item]
+        kept, largest = samples[owner], worst[owner]
+        full = len(kept) >= max_samples  # always, for max_samples <= 0
+        if full and (not kept or item > largest[0]):
+            return
+        match = (item, " ".join(gram))
+        if match in kept or (full and match > largest):
+            return
+        if full:
+            del kept[largest]
+        kept[match] = holder
+        if len(kept) == max_samples:
+            worst[owner] = max(kept)
 
     for position, record in enumerate(synth_records):
         words = record.instruction.lower().split()
         if anchor_keys.isdisjoint(map(digest, _anchors(words, width, stride))):
             continue
-        # Only records with a matching anchor get here; they hash their anchors again.
-        anchors = map(digest, _anchors(words, width, stride))
-        hits: list[set[int]] = [set() for _ in indexes]
+        anchors = map(digest, _anchors(words, width, stride))  # hashed again, by a record that matched
+        hit: set[int] = set()
         for anchor in compress(range(0, len(words), stride), map(anchor_keys.__contains__, anchors)):
-            # The windows holding this anchor, each hashed here and nowhere else.
+            # The windows holding this anchor, each hashed and looked up here and nowhere else.
             starts = range(max(anchor - stride + 1, 0), min(anchor, len(words) - n) + 1)
             grams = [tuple(words[start : start + n]) for start in starts]
-            keys = list(map(digest, grams))
-            for index, hit in zip(indexes, hits):
-                index.probe(grams, keys, position, hit)
-        for index, hit in zip(indexes, hits):
-            for held in hit:
-                index.partner_counts[held] += 1
+            for gram, held in zip(grams, map(holders.get, map(digest, grams))):
+                if held is None:
+                    continue
+                for item in held if isinstance(held, list) else (held,):
+                    confirm = item_grams.get(item)
+                    if confirm is None:
+                        confirm = item_grams[item] = set(_windows(items[item].instruction.lower().split(), n))
+                    if gram in confirm:
+                        hit.add(item)
+                        sample(item, gram, position)
+        for item in hit:
+            partner_counts[item] += 1
 
-    return [index.report(name, synth_records) for (name, _), index in zip(benchmarks, indexes)]
+    reports, end = [], 0
+    for (name, records), kept in zip(benchmarks, samples):
+        counts, end = partner_counts[end : end + len(records)], end + len(records)
+        found = [
+            {"gram": gram, "synth_id": synth_records[holder].id, "benchmark_id": items[item].id}
+            for (item, gram), holder in sorted(kept.items())
+        ]
+        reports.append(LeakageReport(name, n, sum(map(bool, counts)), sum(counts), len(records), found))
+    return reports
 
 
 def count_matches(

@@ -191,21 +191,6 @@ class TagEntry:
     count: int = 0
 
 
-def _sorted_union(old: tuple[str, ...], new: set[str], tag: str | None = None) -> tuple[str, ...]:
-    """``old``, sorted without repeats, with ``new`` merged in, in the same form.
-
-    An item equal to ``tag`` is ``tag`` itself, so a surface form spelled as
-    its tag costs no second string. Linear in ``old`` for a small ``new``.
-    """
-    fresh = new.difference(old)
-    if not fresh:
-        return old
-    if tag in fresh:
-        fresh.discard(tag)
-        fresh.add(tag)
-    return tuple(sorted((*old, *fresh)))
-
-
 @dataclass
 class TagPool:
     """Merged tag collection keyed by (aspect, tag).
@@ -222,24 +207,18 @@ class TagPool:
     _distinct_tags: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def add(self, aspect: str, tag: str, surface: str, source: str) -> None:
-        """Record one observation of ``tag`` under ``aspect``; O(k) for an entry holding k forms or sources."""
-        self._merge({(aspect, tag): [{surface}, {source}, 1]})
-
-    def _merge(self, observed: dict[tuple[str, str], list]) -> None:
-        """Merge observations: per ``(aspect, tag)``, the set of surface forms seen, the set of sources and a count.
-
-        Tags and aspects are interned (``sys.intern``): the same few aspects
-        and every tag the pool samples are one string each across entries.
-        """
-        for (aspect, tag), (surfaces, sources, count) in observed.items():
-            entry = self.entries.get((aspect, tag))
-            if entry is None:
-                entry = TagEntry(tag=sys.intern(tag), aspect=sys.intern(aspect))
-                self.entries[(entry.aspect, entry.tag)] = entry
-                self._distinct_tags = None
-            entry.surface_forms = _sorted_union(entry.surface_forms, surfaces, entry.tag)
-            entry.sources = _sorted_union(entry.sources, sources)
-            entry.count += count
+        """Record one observation of ``tag`` under ``aspect``, both interned as in
+        :func:`build_tag_pool`; O(k) for an entry holding k forms or sources."""
+        entry = self.entries.get((aspect, tag))
+        if entry is None:
+            entry = TagEntry(tag=sys.intern(tag), aspect=sys.intern(aspect))
+            self.entries[(entry.aspect, entry.tag)] = entry
+            self._distinct_tags = None
+        if surface not in entry.surface_forms:
+            entry.surface_forms = tuple(sorted((*entry.surface_forms, entry.tag if surface == entry.tag else surface)))
+        if source not in entry.sources:
+            entry.sources = tuple(sorted((*entry.sources, source)))
+        entry.count += 1
 
     def distinct_tags(self) -> tuple[str, ...]:
         """Distinct tag strings ignoring aspect, sorted; the sampling space.
@@ -323,10 +302,11 @@ def build_tag_pool(
     already retried transient backend failures. A record that still fails
     (a :class:`RecordError`) is recorded in the report, not fatal. Merging
     runs single-threaded over the outcomes in input order, so the pool is
-    deterministic for a deterministic backend. It is one pass: a set per
-    ``(aspect, tag)`` gathers every observation, and each entry's sorted
-    tuples are built once at the end, so a tag seen in k records costs
-    O(k log k), not the O(k^2) of k :meth:`TagPool.add` calls. An empty
+    deterministic for a deterministic backend. A set per ``(aspect, tag)``
+    gathers its observations and each entry is built once from them, so a tag
+    seen in k records costs O(k log k), against O(k^2) for k :meth:`TagPool.add`
+    calls. Tags and aspects are interned (``sys.intern``), so each is one string
+    across entries, and a surface form spelled as its tag is the tag. An empty
     ``records`` raises :class:`PreconditionError` before any send; no usable
     tag at all raises :class:`StageFailed`.
     """
@@ -349,12 +329,15 @@ def build_tag_pool(
             report.preambles[record.id] = preamble
         for aspect_raw, aspect in normalized_tags(parsed):
             for tag_raw, tag in normalized_tags(parsed[aspect_raw]):
-                seen = observed[(aspect, tag)]
+                seen = observed[(sys.intern(aspect), sys.intern(tag))]
                 seen[0].add(tag_raw)
                 seen[1].add(record.id)
                 seen[2] += 1
-    pool = TagPool(model=model)
-    pool._merge(observed)
+    entries = {
+        (aspect, tag): TagEntry(tag, aspect, tuple(sorted(tag if f == tag else f for f in forms)), tuple(sorted(sources)), count)
+        for (aspect, tag), (forms, sources, count) in observed.items()
+    }
+    pool = TagPool(entries, model=model)
     if not pool.entries:
         raise StageFailed(f"no usable tags from {len(records)} records ({len(report.failures)} record failures)")
     return pool, report

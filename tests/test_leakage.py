@@ -15,10 +15,15 @@ from tagevol.errors import PreconditionError
 from tagevol.leakage import count_matches, count_matches_many, extract_ngrams
 
 
+def _collisions(collide: bool):
+    """With ``collide``, every gram and anchor digest is 0, so only the
+    confirmation against the items' words tells grams apart."""
+    return mock.patch.object(leakage, "_digest", (lambda value: 0) if collide else leakage._digest)
+
+
 def _report(synth, bench, n: int, max_samples: int, collide: bool) -> dict:
-    """``count_matches``' report as JSON; with ``collide``, every gram and anchor
-    digest is 0, so only the confirmation against the items' words tells grams apart."""
-    with mock.patch.object(leakage, "_digest", (lambda value: 0) if collide else leakage._digest):
+    """``count_matches``' report as JSON, every digest 0 with ``collide``."""
+    with _collisions(collide):
         return count_matches(synth, bench, n, max_samples=max_samples).to_json()
 
 
@@ -167,16 +172,18 @@ def test_report_equals_oracle_for_long_grams_planted_anywhere(corpus, max_sample
     repeat=st.booleans(),
     n=st.integers(min_value=1, max_value=4),
     max_samples=st.sampled_from([0, 1, 3, 50]),
+    collide=st.booleans(),
 )
-def test_one_pass_over_many_benchmarks_equals_one_call_per_benchmark(synth_texts, bench_corpora, repeat, n, max_samples):
+def test_one_pass_over_many_benchmarks_equals_one_call_per_benchmark(synth_texts, bench_corpora, repeat, n, max_samples, collide):
+    """With ``collide``, every gram of every benchmark lands in one holder list of the shared index."""
     synth = as_records(synth_texts)
     benchmarks = [(f"bench{i}", as_records(texts, prefix=f"b{i}")) for i, texts in enumerate(bench_corpora)]
     if repeat:
         benchmarks.append(benchmarks[0])
-    reports = count_matches_many(synth, benchmarks, n, max_samples)
-    assert [report.to_json() for report in reports] == [
-        count_matches(synth, bench, n, benchmark_name=name, max_samples=max_samples).to_json() for name, bench in benchmarks
-    ]
+    with _collisions(collide):
+        reports = count_matches_many(synth, benchmarks, n, max_samples)
+        singles = [count_matches(synth, bench, n, benchmark_name=name, max_samples=max_samples) for name, bench in benchmarks]
+    assert [report.to_json() for report in reports] == [report.to_json() for report in singles]
     for report, (name, bench) in zip(reports, benchmarks):
         expected = leakage_report_oracle(synth, bench, n, max_samples)
         assert report.to_json() == {"benchmark": name, "n": n, "benchmark_size": len(bench), **expected}

@@ -1,7 +1,7 @@
-"""Kill-and-resume: an ``evolve`` or ``respond`` run killed mid-stage and
-rerun gives the outputs of an uninterrupted run, and resends only what the
-kill left unsettled. A killed ``respond`` without ``--out`` leaves the input
-it rewrites in place whole.
+"""Kill-and-resume: a ``tag``, ``evolve`` or ``respond`` run killed mid-stage
+and rerun gives the outputs of an uninterrupted run, and resends only what the
+kill left unsettled. A killed ``tag`` writes no pool, and a killed ``respond``
+without ``--out`` leaves the input it rewrites in place whole.
 
 The backend is a local HTTP server whose reply is a pure function of the
 prompt, so every run sees the same replies. A seeded share of the first
@@ -34,7 +34,7 @@ from helpers import SynthesizingBackend, make_pool, make_records
 from tagevol.evolution import build_evolution_prompt, record_seed, sample_candidates
 from tagevol.gateway import ChatRequest, user_message
 from tagevol.records import write_dataset
-from tagevol.tagging import save_pool
+from tagevol.tagging import build_tagging_prompt, save_pool
 
 pytestmark = pytest.mark.skipif(os.name != "posix", reason="needs SIGKILL")
 
@@ -166,6 +166,7 @@ def served():
 
 
 STAGE_ARGS = {
+    "tag": ["seed.jsonl", "--out", "pool.json"],
     "evolve": ["seed.jsonl", "pool.json", "rounds", "--budgets", *map(str, BUDGETS), "--seed", str(MASTER_SEED)],
     "respond": ["data.jsonl"],  # no --out: the input is rewritten in place
 }
@@ -272,5 +273,41 @@ def test_a_killed_respond_leaves_its_input_whole_and_resumes_to_the_uninterrupte
     assert backend.sent("killed", "malformed") == []  # any reply is a response
     # The rerun sends each prompt the killed run got no reply to, once, and nothing else.
     every_prompt = {_digest(record.instruction) for record in records}
+    assert sorted(resumed) == sorted(every_prompt - set(killed_valid))
+    assert sorted(resumed + killed_valid) == sorted(backend.sent("reference"))
+
+
+def test_a_killed_tag_writes_no_pool_and_resumes_to_the_uninterrupted_pool(served, tmp_path):
+    _, _, backend, endpoint = served
+    records = make_records(2 * SEEDS, prefix="seed")
+    runs = {}
+    for name in ("resumed", "reference"):
+        runs[name] = tmp_path / name
+        runs[name].mkdir()
+        write_dataset(records, runs[name] / "seed.jsonl")
+    original = (runs["resumed"] / "seed.jsonl").read_bytes()
+
+    backend.start("killed", child_cache_file=runs["resumed"] / "cache" / "responses.jsonl")
+    killed_endpoint = endpoint.replace("/v1/", KILLED_PREFIX + "/v1/", 1)
+    returncode = _finish(_run("tag", runs["resumed"], killed_endpoint, backend))[0]
+    assert backend.late is None, backend.late
+    assert returncode == -signal.SIGKILL
+    # Nothing is written beside the cache: no pool and no build report.
+    assert _tree(runs["resumed"], skip="cache") == {"seed.jsonl": original}
+    backend.start("resumed")
+    assert _finish(_run("tag", runs["resumed"], endpoint, backend)) == (0, "")
+    backend.start("reference")
+    assert _finish(_run("tag", runs["reference"], endpoint, backend)) == (0, "")
+
+    reference = _tree(runs["reference"], skip="cache")
+    assert sorted(reference) == ["pool.json", "pool.report.json", "seed.jsonl"]
+    assert _tree(runs["resumed"], skip="cache") == reference
+
+    killed_valid = backend.sent("killed", "valid")
+    resumed = backend.sent("resumed")
+    assert killed_valid and backend.sent("killed", "unanswered")
+    assert backend.sent("killed", "malformed") == []  # every tagging reply parses
+    # The rerun sends each prompt the killed run got no reply to, once, and nothing else.
+    every_prompt = {_digest(build_tagging_prompt(record)) for record in records}
     assert sorted(resumed) == sorted(every_prompt - set(killed_valid))
     assert sorted(resumed + killed_valid) == sorted(backend.sent("reference"))

@@ -273,6 +273,7 @@ class HttpBackend:
 # A line of 4 GiB or more would read back wrong, and so be a miss.
 _SPAN_BITS = 32
 _SPAN_MASK = (1 << _SPAN_BITS) - 1
+_digest = hash  # keys the index by cache key; any function of a string serves, since get confirms the key
 
 
 def _cache_entry(line: bytes) -> tuple[str, str, str] | None:
@@ -288,27 +289,27 @@ def _cache_entry(line: bytes) -> tuple[str, str, str] | None:
 class ResponseCache:
     """Disk-persisted prompt cache; one JSON line per stored response.
 
-    Memory holds an index, not replies: each key's line span. ``get`` takes
-    no lock; it reads that line back with ``os.pread`` and parses it by the
-    load rules, and a line that does not parse or names another key (a file
-    changed under a live cache) is a miss. Appends are serialized by a lock,
-    and a key is indexed only once its whole line is written, so ``get`` sees
-    no entry or a whole one. The file is opened for appends once, on the
-    first put; every descriptor is closed when the cache is collected. On
-    load, the last line for a key wins and torn or malformed lines are
-    ignored, as is an entry whose ``key``, ``content`` or ``finish_reason`` is
-    not a string, or whose text holds a lone surrogate (which
-    :meth:`Gateway.complete` never accepts). After a torn last line or a
-    failed append, the next entry starts on a new line. A directory that
-    cannot be created or read raises :class:`LoadError`, and an append that
-    cannot be written raises :class:`WriteError`, which stops the stage.
+    Memory holds an index, not replies: each key's line span, under the key's
+    hash. ``get`` takes no lock; it reads that line back with ``os.pread``, and
+    a line that does not parse by the load rules or names another key (a hash
+    collision, a file changed under a live cache) is a miss. Appends are
+    serialized by a lock, and a key is indexed only once its whole line is
+    written, so ``get`` sees no entry or a whole one. The file is opened for
+    appends once, on the first put; every descriptor is closed when the cache
+    is collected. On load, the last line for a key wins and torn or malformed
+    lines are ignored, as is an entry whose ``key``, ``content`` or
+    ``finish_reason`` is not a string, or whose text holds a lone surrogate
+    (which :meth:`Gateway.complete` never accepts). After a torn last line or a
+    failed append, the next entry starts on a new line. A directory that cannot
+    be created or read raises :class:`LoadError`, and an append that cannot be
+    written raises :class:`WriteError`, which stops the stage.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.path = self.directory / "responses.jsonl"
         self._lock = threading.Lock()
-        self._spans: dict[str, int] = {}
+        self._spans: dict[int, int] = {}
         self._fd: int | None = None  # appends, opened on the first put
         self._reader: int | None = None  # what get reads: the file as loaded, else the append descriptor
         offset, line = 0, b""
@@ -323,14 +324,14 @@ class ResponseCache:
                     for line in lines:
                         entry = _cache_entry(line)
                         if entry is not None:
-                            self._spans[entry[0]] = offset << _SPAN_BITS | len(line)
+                            self._spans[_digest(entry[0])] = offset << _SPAN_BITS | len(line)
                         offset += len(line)
         except (OSError, ValueError) as err:  # ValueError: a path holding a NUL, which a config file can give
             raise LoadError(self.directory, 0, f"cannot use as a response cache directory: {err}") from err
         self._torn = bool(line) and not line.endswith(b"\n")
 
     def get(self, key: str) -> ChatResponse | None:
-        span = self._spans.get(key)
+        span = self._spans.get(_digest(key))
         if span is None:
             return None
         try:
@@ -357,7 +358,7 @@ class ResponseCache:
                 end = os.lseek(self._fd, 0, os.SEEK_CUR)  # O_APPEND: just past this line
             except OSError as err:
                 raise WriteError(f"cannot write {self.path}: {err}") from err
-            self._spans[key] = (end - len(data)) << _SPAN_BITS | len(data)
+            self._spans[_digest(key)] = (end - len(data)) << _SPAN_BITS | len(data)
 
 
 class _Slots:

@@ -86,11 +86,12 @@ class EvolvedRecord(InstructionRecord):
             raise ValueError("budget must be >= 1")
         if FLAG_SUBSET_SIZE_MISMATCH not in self.flags and len(self.selected_tags) != self.budget:
             raise ValueError("selected tag count must equal budget unless flagged")
-        if FLAG_SUBSET_NOT_IN_CANDIDATES not in self.flags and not set(self.candidate_tags).issuperset(self.selected_tags):
+        if FLAG_SUBSET_NOT_IN_CANDIDATES not in self.flags and not all(map(self.candidate_tags.__contains__, self.selected_tags)):
             raise ValueError("selected tags must come from the candidate batch unless flagged")
 
 
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # the only form of a surrogate in strict UTF-8 JSON
+_decode = json.JSONDecoder().raw_decode  # json.loads less its BOM and trailing-data checks, which load_dataset makes
 
 
 def _is_unicode(*texts: str) -> bool:
@@ -149,13 +150,14 @@ and the required keys are the ones whose presence makes a record evolved."""
 _EVOLVED_MARKER_KEYS = tuple(key for key, (_, _, default) in _EVOLVED_FIELDS.items() if default is None)
 
 
-def record_from_json(obj: dict, *, default_id: str) -> InstructionRecord:
+def record_from_json(obj: dict, *, default_id: str | None) -> InstructionRecord:
     """Build a record from one parsed JSONL object. Raises ValueError on schema problems.
 
     Only types are checked here, never coerced; nonempty values and ranges
     are left to the record constructors. ``id`` defaults to ``default_id``.
     The provenance keys, their types and their defaults are those of
-    ``_EVOLVED_FIELDS``.
+    ``_EVOLVED_FIELDS``. Provenance values of their exact JSON types take one type test
+    each; any other object takes the table's walk, which names the first wrong key.
 
     Its tag and flag lists hold interned strings (``sys.intern``): they come
     from closed sets, so equal tags are one object across records and loads.
@@ -175,23 +177,31 @@ def record_from_json(obj: dict, *, default_id: str) -> InstructionRecord:
     if not isinstance(meta, dict):
         raise ValueError("'meta' must be an object")
 
-    if not any(key in obj for key in _EVOLVED_MARKER_KEYS):
+    if obj.keys().isdisjoint(_EVOLVED_MARKER_KEYS):
         return InstructionRecord(id=record_id, instruction=instruction, response=response, meta=meta)
+    # The common case, every provenance value of its exact JSON type (no bool for an int), is tested at once, and
+    # sys.intern rejects a non-string item; anything else takes the walk. Two tuple(map(...)) temporaries per
+    # record in place of these names and tests raised the `audit` benchmark's peak RSS ~1 MB (CPython 3.11).
+    parent_id, rnd, budget, selected, candidates, plan, flags, raw_digest = map(obj.get, _EVOLVED_FIELDS)
+    if (type(parent_id) is type(plan) is type(raw_digest) is str and type(rnd) is type(budget) is int
+            and type(selected) is type(candidates) is type(flags) is list):
+        try:
+            selected, candidates, flags = list(map(sys.intern, selected)), list(map(sys.intern, candidates)), list(map(sys.intern, flags))
+        except TypeError:
+            pass
+        else:
+            return EvolvedRecord(
+                id=record_id, instruction=instruction, response=response, meta=meta, parent_id=parent_id, round=rnd, budget=budget,
+                selected_tags=selected, candidate_tags=candidates, plan=plan, flags=flags, raw_digest=raw_digest,
+            )
     missing = [key for key in _EVOLVED_MARKER_KEYS if key not in obj]
     if missing:
         raise ValueError(f"evolved record missing fields: {', '.join(missing)}")
     fields = {}
     for key, (accepts, expected, default) in _EVOLVED_FIELDS.items():
-        value = obj.get(key)
-        # A string list is interned, and absent or null is a fresh list; sys.intern
-        # raises TypeError on a non-string, which leaves that value to _checked.
-        if accepts is _is_str_list and (value is None or isinstance(value, list)):
-            try:
-                fields[key] = list(map(sys.intern, value or ()))
-                continue
-            except TypeError:
-                pass
-        fields[key] = _checked(obj, key, accepts, expected, default)
+        value = _checked(obj, key, accepts, expected, default)
+        # A string list is interned, and absent or null is a fresh list, not the table's default.
+        fields[key] = list(map(sys.intern, value)) if accepts is _is_str_list else value
     return EvolvedRecord(id=record_id, instruction=instruction, response=response, meta=meta, **fields)
 
 
@@ -209,6 +219,7 @@ def record_to_json(record: InstructionRecord) -> dict:
 def load_dataset(path: str | Path) -> list[InstructionRecord]:
     """Read a JSONL dataset, assigning "<filename>:<line#>" ids where absent.
 
+    Each line is decoded once, with the checks and messages of ``json.loads``.
     Evolved records share one interned string per distinct tag and flag, so
     a list slot costs a pointer, not a string. On CPython 3.12 those strings
     are immortal (see :func:`record_from_json`).
@@ -223,7 +234,9 @@ def load_dataset(path: str | Path) -> list[InstructionRecord]:
                 if not line:
                     continue
                 try:
-                    obj = json.loads(line)
+                    obj, end = json.loads(line) if line[0] == "\ufeff" else _decode(line)  # json.loads rejects a BOM, in its words
+                    if end != len(line):
+                        raise json.JSONDecodeError("Extra data", line, end)
                     _reject_surrogates(path, lineno, line, obj)
                 except json.JSONDecodeError as err:
                     raise LoadError(path, lineno, f"invalid JSON: {err.msg}") from err
@@ -232,7 +245,7 @@ def load_dataset(path: str | Path) -> list[InstructionRecord]:
                 if not isinstance(obj, dict):
                     raise LoadError(path, lineno, "expected a JSON object")
                 try:
-                    record = record_from_json(obj, default_id=f"{path.name}:{lineno}")
+                    record = record_from_json(obj, default_id=None if "id" in obj else f"{path.name}:{lineno}")
                 except ValueError as err:
                     raise LoadError(path, lineno, str(err)) from err
                 if record.id in seen:

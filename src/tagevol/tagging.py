@@ -375,10 +375,16 @@ def _entry_or_object(obj: dict):
     if obj.keys() != _ENTRY_FIELDS.keys():
         return obj
     tag, aspect, forms, sources, count = obj["tag"], obj["aspect"], obj["surface_forms"], obj["sources"], obj["count"]
-    # Written out, not read from the table: this runs once per object in the file.
-    if not (_is_str(tag) and _is_str(aspect) and _is_int(count) and _is_str_list(forms) and _is_str_list(sources)):
-        return obj
-    if not (all(map(str.__lt__, forms, forms[1:])) and all(map(str.__lt__, sources, sources[1:]))):
+    # Written out, not read from the table: this runs once per object in the file. The sorted check types each list
+    # past its first item: str.__gt__(later, earlier) raises TypeError unless ``later`` is a string (str.__lt__ would not).
+    try:
+        if not (
+            type(tag) is str and type(aspect) is str and type(count) is int and type(forms) is list and type(sources) is list
+            and (not forms or type(forms[0]) is str) and (not sources or type(sources[0]) is str)
+            and all(map(str.__gt__, forms[1:], forms)) and all(map(str.__gt__, sources[1:], sources))
+        ):
+            return obj
+    except TypeError:
         return obj
     tag = sys.intern(tag)
     if tag in forms:

@@ -8,6 +8,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import (
     ALL_CASE_FIXTURES,
@@ -27,6 +29,7 @@ from helpers import (
 from tagevol.errors import ParseError, PreconditionError
 from tagevol.evolution import (
     PRESETS,
+    ParsedEvolution,
     build_evolution_prompt,
     evolve_record,
     evolve_rounds,
@@ -211,6 +214,77 @@ def test_subset_accepts_comma_separated_line():
         "Step 4 #Finally Rewritten Instruction#: final text\n"
     )
     assert parse_evolution_response(reply).subset == ["alpha beta", "gamma delta"]
+
+
+# Reply sections for the parser properties. A body starts on a letter and holds no "#", so no
+# text of it reads as a marker or as residue after one; tags are already in normalized form.
+_MARKER_WORDS = {
+    "subset": (["tag", "subset"], ["", " ", "  "]),
+    "plan": (["plan"], [""]),
+    "rewritten": (["rewritten", "instruction"], [" ", "\t", "  "]),
+    "final": (["final", "rewritten", "instruction"], [" ", "\t", "  "]),
+}
+_AFTER_MARKER = ["", ":", ": ", " ", ":\n", "**:** ", " `"]  # what may follow a marker: spaces and residue
+_WORD = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Z"), blacklist_characters="#"), min_size=1, max_size=8)
+_TAG = st.lists(st.text("abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=6), min_size=1, max_size=3).map(" ".join)
+
+
+@st.composite
+def _body(draw, min_words=0):
+    words = draw(st.lists(_WORD, min_size=min_words, max_size=8))
+    if not words:
+        return ""
+    seps = draw(st.lists(st.sampled_from([" ", "\n", "  "]), min_size=len(words), max_size=len(words)))
+    return draw(st.sampled_from("aZé")) + "".join(sep + word for sep, word in zip(seps, words)).lstrip()
+
+
+@st.composite
+def _marker(draw, kind):
+    words, seps = _MARKER_WORDS[kind]
+    if kind == "final":
+        words = [draw(st.sampled_from(["final", "finally"])), *words[1:]]
+    text = words[0] + "".join(draw(st.sampled_from(seps)) + word for word in words[1:])
+    upper = draw(st.integers(0, 2 ** len(text) - 1))  # bit i set: character i in upper case
+    text = "".join(c.upper() if upper >> i & 1 else c for i, c in enumerate(text))
+    pad = st.sampled_from(["", " "])
+    return f"#{draw(pad)}{text}{draw(pad)}#{draw(st.sampled_from(_AFTER_MARKER))}"
+
+
+@st.composite
+def _reply(draw):
+    """A reply and the four sections it was rendered from: any marker case, Final or Finally,
+    decoy sections under a repeated marker before each real one, and text before the first marker."""
+    tags = draw(st.lists(_TAG, min_size=1, max_size=5, unique=True))
+    subset = draw(st.sampled_from([json.dumps(tags), repr(tags), ", ".join(tags)]))
+    sections = {"subset": subset, "plan": draw(_body()), "rewritten": draw(_body()), "final": draw(_body(min_words=1))}
+    decoys = draw(st.lists(st.sampled_from(sorted(sections)), max_size=4))
+    order = draw(st.permutations([*sections, *decoys]))
+    last = {kind: i for i, kind in enumerate(order)}
+    parts = [draw(_body())]
+    for i, kind in enumerate(order):
+        body = sections[kind] if last[kind] == i else draw(_body())
+        parts.append(f"\n{draw(_marker(kind))}{body}\n")
+    parsed = ParsedEvolution(subset=tags, plan=sections["plan"], rewritten=sections["rewritten"], final=sections["final"])
+    return "".join(parts), parsed
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reply())
+def test_a_reply_rendered_from_four_sections_parses_back_to_them(case):
+    reply, sections = case
+    assert parse_evolution_response(reply) == sections
+
+
+_MARKER_TEXTS = ["#Tag subset#", "#plan#", "#Rewritten Instruction#", "#Final Rewritten Instruction#", "#FINALLY rewritten instruction#"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.text(max_size=30), st.sampled_from([*_MARKER_TEXTS, "[", "]", "'", '"', ",", ":", "**"])), max_size=20))
+def test_arbitrary_text_either_parses_or_raises_a_parse_error(pieces):
+    try:
+        parse_evolution_response("".join(pieces))
+    except ParseError:
+        pass
 
 
 def _clean_parsed(original, cand, budget):

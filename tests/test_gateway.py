@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from helpers import ReplySequenceBackend, SynthesizingBackend, make_pool, make_records
+from tagevol import gateway as gateway_module
 from tagevol.errors import LoadError, ParseError, PreconditionError, RecordError, WriteError
 from tagevol.evolution import evolve_rounds
 from tagevol.gateway import (
@@ -610,7 +611,7 @@ def test_cache_load_peaks_below_twice_the_file_size(tmp_path):
 
 
 @pytest.mark.parametrize("reply_size", [200, 1024, 4096], ids=["200B", "1KB", "4KB"])
-def test_a_loaded_cache_retains_at_most_250_bytes_per_entry_whatever_the_reply_size(reply_size, tmp_path):
+def test_a_loaded_cache_retains_at_most_120_bytes_per_entry_whatever_the_reply_size(reply_size, tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     keys = [hashlib.sha256(str(i).encode("ascii")).hexdigest() for i in range(2000)]
     for i, key in enumerate(keys):
@@ -623,7 +624,29 @@ def test_a_loaded_cache_retains_at_most_250_bytes_per_entry_whatever_the_reply_s
     finally:
         tracemalloc.stop()
     assert all(len(loaded.get(key).content) == reply_size for key in keys)
-    assert retained <= 250 * len(keys)
+    # An int key (the key's hash) and an int span per entry: about 105 bytes on CPython 3.11.
+    assert retained <= 120 * len(keys)
+
+
+def test_keys_whose_digests_collide_never_get_each_others_reply(tmp_path, monkeypatch):
+    monkeypatch.setattr(gateway_module, "_digest", lambda key: 0)
+    first, second = _request("first prompt"), _request("second prompt")
+    cache = ResponseCache(tmp_path / "cache")
+    cache.put(request_cache_key(first), ChatResponse(content="first reply"))
+    cache.put(request_cache_key(second), ChatResponse(content="second reply"))
+    # The later put wins; the earlier key misses and is never given the other reply.
+    assert cache.get(request_cache_key(second)).content == "second reply"
+    assert cache.get(request_cache_key(first)) is None
+    backend = ReplySequenceBackend(["first again"])
+    gateway = Gateway(backend, cache=cache, sleep=lambda _: None)
+    assert gateway.complete(first).content == "first again"
+    assert backend.sends == 1
+    assert gateway.complete(first).content == "first again"
+    assert backend.sends == 1
+    # On load, too, the last line under a digest wins.
+    reloaded = ResponseCache(tmp_path / "cache")
+    assert reloaded.get(request_cache_key(first)).content == "first again"
+    assert reloaded.get(request_cache_key(second)) is None
 
 
 def test_concurrent_puts_all_persist(tmp_path):

@@ -1,7 +1,8 @@
-"""Kill-and-resume: a ``tag``, ``evolve`` or ``respond`` run killed mid-stage
-and rerun gives the outputs of an uninterrupted run, and resends only what the
-kill left unsettled. A killed ``tag`` writes no pool, and a killed ``respond``
-without ``--out`` leaves the input it rewrites in place whole.
+"""Kill-and-resume: a ``tag``, ``evolve``, ``respond`` or ``stats`` run killed
+mid-stage and rerun gives the outputs of an uninterrupted run, and resends only
+what the kill left unsettled. A killed ``tag`` writes no pool, a killed
+``stats`` no report, and a killed ``respond`` without ``--out`` leaves the
+input it rewrites in place whole.
 
 The backend is a local HTTP server whose reply is a pure function of the
 prompt, so every run sees the same replies. A seeded share of the first
@@ -169,6 +170,7 @@ STAGE_ARGS = {
     "tag": ["seed.jsonl", "--out", "pool.json"],
     "evolve": ["seed.jsonl", "pool.json", "rounds", "--budgets", *map(str, BUDGETS), "--seed", str(MASTER_SEED)],
     "respond": ["data.jsonl"],  # no --out: the input is rewritten in place
+    "stats": ["data.jsonl", "--sample-size", str(2 * SEEDS), "--out", "report.json"],  # every record sampled
 }
 
 
@@ -301,6 +303,43 @@ def test_a_killed_tag_writes_no_pool_and_resumes_to_the_uninterrupted_pool(serve
 
     reference = _tree(runs["reference"], skip="cache")
     assert sorted(reference) == ["pool.json", "pool.report.json", "seed.jsonl"]
+    assert _tree(runs["resumed"], skip="cache") == reference
+
+    killed_valid = backend.sent("killed", "valid")
+    resumed = backend.sent("resumed")
+    assert killed_valid and backend.sent("killed", "unanswered")
+    assert backend.sent("killed", "malformed") == []  # every tagging reply parses
+    # The rerun sends each prompt the killed run got no reply to, once, and nothing else.
+    every_prompt = {_digest(build_tagging_prompt(record)) for record in records}
+    assert sorted(resumed) == sorted(every_prompt - set(killed_valid))
+    assert sorted(resumed + killed_valid) == sorted(backend.sent("reference"))
+
+
+def test_a_killed_stats_writes_no_report_and_resumes_to_the_uninterrupted_report(served, tmp_path):
+    _, _, backend, endpoint = served
+    records = make_records(2 * SEEDS, prefix="item")
+    runs = {}
+    for name in ("resumed", "reference"):
+        runs[name] = tmp_path / name
+        runs[name].mkdir()
+        write_dataset(records, runs[name] / "data.jsonl")
+    original = (runs["resumed"] / "data.jsonl").read_bytes()
+
+    backend.start("killed", child_cache_file=runs["resumed"] / "cache" / "responses.jsonl")
+    killed_endpoint = endpoint.replace("/v1/", KILLED_PREFIX + "/v1/", 1)
+    returncode = _finish(_run("stats", runs["resumed"], killed_endpoint, backend))[0]
+    assert backend.late is None, backend.late
+    assert returncode == -signal.SIGKILL
+    # The input is whole, and nothing is written beside the cache: no report.
+    assert _tree(runs["resumed"], skip="cache") == {"data.jsonl": original}
+    backend.start("resumed")
+    assert _finish(_run("stats", runs["resumed"], endpoint, backend)) == (0, "")
+    backend.start("reference")
+    assert _finish(_run("stats", runs["reference"], endpoint, backend)) == (0, "")
+
+    reference = _tree(runs["reference"], skip="cache")
+    assert sorted(reference) == ["data.jsonl", "report.json"]
+    assert json.loads(reference["report.json"])["sample_size"] == 2 * SEEDS
     assert _tree(runs["resumed"], skip="cache") == reference
 
     killed_valid = backend.sent("killed", "valid")

@@ -15,7 +15,6 @@ import json
 import logging
 import random
 import sys
-import types
 import typing
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
@@ -38,6 +37,7 @@ from .gateway import (
 from .leakage import count_matches_many
 from .metrics import DEFAULT_SAMPLE_SIZE, evaluate_dataset
 from .records import (
+    _has_type,
     _is_unicode,
     build_manifest,
     dump_json,
@@ -95,22 +95,6 @@ class RunConfig:
 
 
 _CONFIG_TYPES = typing.get_type_hints(RunConfig)
-
-
-def _has_type(value, hint) -> bool:
-    """Whether a parsed JSON value fits a ``RunConfig`` annotation; an integer fits ``float``."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (typing.Union, types.UnionType):
-        return any(_has_type(value, arg) for arg in args)
-    if origin is typing.Literal:
-        return value in args
-    if origin is list:
-        return isinstance(value, list) and all(_has_type(item, args[0]) for item in value)
-    if origin is dict:
-        return isinstance(value, dict) and all(_has_type(k, args[0]) and _has_type(v, args[1]) for k, v in value.items())
-    if hint in (int, float) and isinstance(value, bool):
-        return False
-    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:

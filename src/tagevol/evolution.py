@@ -83,6 +83,8 @@ _MARKER_RE = re.compile(
     re.IGNORECASE,
 )
 _SECTION_ORDER = ("subset", "plan", "rewritten", "final")
+# A "Step N" label that starts the line of a marker; searched only in the few characters before it.
+_STEP_LABEL_RE = re.compile(r"^[ \t]*\**step[ \t]*\d+[\s*:]*\Z", re.IGNORECASE | re.MULTILINE)
 _RESIDUE_RE = re.compile(r"\A[\s:*`]+")
 
 
@@ -156,12 +158,16 @@ def parse_evolution_response(text: str) -> ParsedEvolution:
     """Split the reply into its four step sections by their ``#...#`` markers.
 
     Marker matching is case-insensitive; when a marker repeats, the last
-    occurrence wins. Subset tags come back normalized.
+    occurrence wins. A "Step N" label that starts a marker's line, as the
+    prompt's own layout puts it, is no part of the section it ends. Subset tags come
+    back normalized.
     """
     sections: dict[str | None, str] = {}  # None: the text before the first marker
     kind, end = None, 0
     for match in _MARKER_RE.finditer(text):
-        sections[kind] = text[end : match.start()]
+        start = match.start()
+        label = _STEP_LABEL_RE.search(text, max(end, start - 24), start)
+        sections[kind] = text[end : label.start() if label else start]
         kind, end = match.lastgroup, match.end()
     sections[kind] = text[end:]
     for step, kind in enumerate(_SECTION_ORDER, start=1):

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import LoadError, ParseError, PreconditionError, RecordError, WriteError
-from .records import _LINE_ENCODER, _is_unicode, read_json
+from .records import _LINE_ENCODER, _has_type, _is_unicode, read_json
 
 log = logging.getLogger(__name__)
 
@@ -258,7 +258,7 @@ class HttpBackend:
             raise MalformedBackendReply("completion content is not text")
         usage = payload.get("usage")
         finish_reason = choice.get("finish_reason")
-        if not isinstance(usage, (dict, type(None))) or not isinstance(finish_reason, (str, type(None))):
+        if not (_has_type(usage, dict | None) and _has_type(finish_reason, str | None)):
             raise MalformedBackendReply("reply usage is not an object or finish_reason is not text")
         usage = usage or {}
         return ChatResponse(

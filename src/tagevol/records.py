@@ -15,6 +15,8 @@ import json
 import os
 import re
 import sys
+import types
+import typing
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -110,43 +112,48 @@ def _reject_surrogates(path, line: int, text: str, value) -> None:
         raise LoadError(path, line, "text holds a lone UTF-16 surrogate, which UTF-8 cannot encode")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _has_type(value, hint) -> bool:
+    """Whether a parsed JSON value fits a type hint; the one JSON type check of config files, records,
+    pool files and HTTP replies. A bool fits neither ``int`` nor ``float``; an integer fits ``float``."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_has_type(value, arg) for arg in args)
+    if origin is typing.Literal:
+        return value in args
+    if origin is list:
+        return isinstance(value, list) and all(_has_type(item, args[0]) for item in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(_has_type(k, args[0]) and _has_type(v, args[1]) for k, v in value.items())
+    if hint in (int, float) and isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
-def _is_str(value) -> bool:
-    return isinstance(value, str)
-
-
-def _is_str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(item, str) for item in value)
-
-
-def _checked(obj: dict, key: str, accepts, expected: str, default=None):
-    """``obj[key]`` when ``accepts`` it, or ``default`` (unless None) for an
-    absent or null key. Values are checked, never coerced: any other value is
-    a ValueError naming ``key``."""
+def _checked(obj: dict, key: str, hint, expected: str, default=None):
+    """``obj[key]`` when it fits ``hint`` (see :func:`_has_type`), or ``default`` (unless None)
+    for an absent or null key. Values are checked, never coerced: any other value is a
+    ValueError naming ``key`` and ``expected``, the type in words."""
     value = obj.get(key)
     if value is None and default is not None:
         return default
-    if not accepts(value):
+    if not _has_type(value, hint):
         raise ValueError(f"{key!r} must be {expected}, got {json.dumps(value, ensure_ascii=False)}")
     return value
 
 
 _EVOLVED_FIELDS = {
-    "parent_id": (_is_str, "a string", None),
-    "round": (_is_int, "an integer", None),
-    "budget": (_is_int, "an integer", None),
-    "selected_tags": (_is_str_list, "a list of strings", []),
-    "candidate_tags": (_is_str_list, "a list of strings", []),
-    "plan": (_is_str, "a string", ""),
-    "flags": (_is_str_list, "a list of strings", []),
-    "raw_digest": (_is_str, "a string", ""),
+    "parent_id": (str, "a string", None),
+    "round": (int, "an integer", None),
+    "budget": (int, "an integer", None),
+    "selected_tags": (list[str], "a list of strings", []),
+    "candidate_tags": (list[str], "a list of strings", []),
+    "plan": (str, "a string", ""),
+    "flags": (list[str], "a list of strings", []),
+    "raw_digest": (str, "a string", ""),
 }
-"""The evolved-record schema, in field order: each provenance key with its check, the type its
-error names and the default for an absent or null value. A default of None marks a required key,
-and the required keys are the ones whose presence makes a record evolved."""
+"""The evolved-record schema, in field order: each provenance key with its type hint for
+:func:`_has_type`, the type its error names and the default for an absent or null value. A default
+of None marks a required key, and the required keys are the ones whose presence makes a record evolved."""
 _EVOLVED_MARKER_KEYS = tuple(key for key, (_, _, default) in _EVOLVED_FIELDS.items() if default is None)
 
 
@@ -198,10 +205,10 @@ def record_from_json(obj: dict, *, default_id: str | None) -> InstructionRecord:
     if missing:
         raise ValueError(f"evolved record missing fields: {', '.join(missing)}")
     fields = {}
-    for key, (accepts, expected, default) in _EVOLVED_FIELDS.items():
-        value = _checked(obj, key, accepts, expected, default)
+    for key, (hint, expected, default) in _EVOLVED_FIELDS.items():
+        value = _checked(obj, key, hint, expected, default)
         # A string list is interned, and absent or null is a fresh list, not the table's default.
-        fields[key] = list(map(sys.intern, value)) if accepts is _is_str_list else value
+        fields[key] = list(map(sys.intern, value)) if hint == list[str] else value
     return EvolvedRecord(id=record_id, instruction=instruction, response=response, meta=meta, **fields)
 
 

@@ -28,7 +28,7 @@ from .gateway import (
     Gateway,
     user_message,
 )
-from .records import InstructionRecord, _checked, _is_int, _is_str, _is_str_list, read_json, write_json
+from .records import InstructionRecord, _checked, read_json, write_json
 
 log = logging.getLogger(__name__)
 
@@ -344,13 +344,13 @@ def build_tag_pool(
 
 
 _ENTRY_FIELDS = {
-    "tag": (_is_str, "a string"),
-    "aspect": (_is_str, "a string"),
-    "surface_forms": (_is_str_list, "a list of strings"),
-    "sources": (_is_str_list, "a list of strings"),
-    "count": (_is_int, "an integer"),
+    "tag": (str, "a string"),
+    "aspect": (str, "a string"),
+    "surface_forms": (list[str], "a list of strings"),
+    "sources": (list[str], "a list of strings"),
+    "count": (int, "an integer"),
 }
-"""The pool-entry schema: each key ``save_pool`` writes, with its check and the type its error names."""
+"""The pool-entry schema: each key ``save_pool`` writes, with its type hint and the type its error names."""
 
 
 def save_pool(pool: TagPool, path: str | Path) -> None:
@@ -424,15 +424,15 @@ def load_pool(path: str | Path) -> TagPool:
             raise LoadError(path, 0, f"unsupported pool version {payload.get('version')!r}")
         if not isinstance(items, list):
             raise LoadError(path, 0, f"malformed pool: 'entries' must be a list, got {type(_as_parsed(items)).__name__}")
-        model = _checked(payload, "model", _is_str, "a string", "")
-        built_from = _checked(payload, "built_from", lambda v: v is None or isinstance(v, dict), "an object or null")
+        model = _checked(payload, "model", str, "a string", "")
+        built_from = _checked(payload, "built_from", dict | None, "an object or null")
         entries: dict[tuple[str, str], TagEntry] = {}
         for item in items:
             if not isinstance(item, TagEntry):
                 item = _as_parsed(item)
                 if not isinstance(item, dict):
                     raise TypeError(f"entry is not an object: {json.dumps(item, ensure_ascii=False)}")
-                fields = {key: _checked(item, key, ok, expected) for key, (ok, expected) in _ENTRY_FIELDS.items()}
+                fields = {key: _checked(item, key, hint, expected) for key, (hint, expected) in _ENTRY_FIELDS.items()}
                 fields["surface_forms"] = sorted(set(fields["surface_forms"]))
                 fields["sources"] = sorted(set(fields["sources"]))
                 item = _entry_or_object(fields)

@@ -15,9 +15,9 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Prefixes of ``workloads.output_digest`` over each workload's output tree at seed 1.
 PINNED = {
-    "evolve-cpu": "dfaf72a2",
-    "pipeline-latency": "e2d96203",
-    "resume": "0a314fec",
+    "evolve-cpu": "db27652e",
+    "pipeline-latency": "367a300f",
+    "resume": "4d0f508c",
     "audit": "2f1243ec",
 }
 

@@ -8,7 +8,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fixtures import (
@@ -206,6 +206,18 @@ def test_too_deeply_nested_subset_fails_only_its_record():
     assert result.failures[0]["error"].startswith("BadSubset: cannot parse step 1 subset:")
 
 
+def test_a_reply_in_the_prompt_layout_keeps_no_step_label_in_its_sections():
+    parsed = parse_evolution_response(evolution_reply(["a"], "final words"))
+    assert parsed.plan == "integrate the selected tags"
+    assert parsed.rewritten == "final words"
+
+
+def test_a_section_that_ends_in_step_n_within_its_line_keeps_it():
+    reply = '#Tag subset#: ["a"]\n#Plan#: then verify step 2\n#Rewritten Instruction#: use 3\n#Final Rewritten Instruction#: done'
+    parsed = parse_evolution_response(reply)
+    assert (parsed.plan, parsed.rewritten) == ("then verify step 2", "use 3")
+
+
 def test_subset_accepts_comma_separated_line():
     reply = (
         "Step 1 #Tag subset#:\nalpha beta, gamma delta\n"
@@ -216,8 +228,9 @@ def test_subset_accepts_comma_separated_line():
     assert parse_evolution_response(reply).subset == ["alpha beta", "gamma delta"]
 
 
-# Reply sections for the parser properties. A body starts on a letter and holds no "#", so no
-# text of it reads as a marker or as residue after one; tags are already in normalized form.
+# Reply sections for the parser properties. A body starts on a letter, holds no "#" and has no
+# last line that reads "Step N", so no text of it reads as a marker, as residue after one or as a
+# label before one; tags are already in normalized form.
 _MARKER_WORDS = {
     "subset": (["tag", "subset"], ["", " ", "  "]),
     "plan": (["plan"], [""]),
@@ -235,7 +248,17 @@ def _body(draw, min_words=0):
     if not words:
         return ""
     seps = draw(st.lists(st.sampled_from([" ", "\n", "  "]), min_size=len(words), max_size=len(words)))
-    return draw(st.sampled_from("aZé")) + "".join(sep + word for sep, word in zip(seps, words)).lstrip()
+    body = draw(st.sampled_from("aZé")) + "".join(sep + word for sep, word in zip(seps, words)).lstrip()
+    assume(not re.fullmatch(r"step[ \t]*\d+", body.rstrip(" \n*:").rpartition("\n")[2].lstrip(" *"), re.IGNORECASE))
+    return body
+
+
+@st.composite
+def _step_label(draw):
+    """Nothing, or a "Step N" label as a reply may put it before a marker: any case and spacing, or in bold."""
+    word = "".join(c.upper() if draw(st.booleans()) else c for c in "step")
+    label = word + draw(st.sampled_from(["", " ", "  ", "\t"])) + str(draw(st.integers(1, 12)))
+    return draw(st.sampled_from(["", f"{label} ", f"{label}: ", f"**{label}** ", label]))
 
 
 @st.composite
@@ -252,8 +275,9 @@ def _marker(draw, kind):
 
 @st.composite
 def _reply(draw):
-    """A reply and the four sections it was rendered from: any marker case, Final or Finally,
-    decoy sections under a repeated marker before each real one, and text before the first marker."""
+    """A reply and the four sections it was rendered from: any marker case, Final or Finally, a
+    "Step N" label or none before each marker, decoy sections under a repeated marker before each
+    real one, and text before the first marker."""
     tags = draw(st.lists(_TAG, min_size=1, max_size=5, unique=True))
     subset = draw(st.sampled_from([json.dumps(tags), repr(tags), ", ".join(tags)]))
     sections = {"subset": subset, "plan": draw(_body()), "rewritten": draw(_body()), "final": draw(_body(min_words=1))}
@@ -263,7 +287,7 @@ def _reply(draw):
     parts = [draw(_body())]
     for i, kind in enumerate(order):
         body = sections[kind] if last[kind] == i else draw(_body())
-        parts.append(f"\n{draw(_marker(kind))}{body}\n")
+        parts.append(f"\n{draw(_step_label())}{draw(_marker(kind))}{body}\n")
     parsed = ParsedEvolution(subset=tags, plan=sections["plan"], rewritten=sections["rewritten"], final=sections["final"])
     return "".join(parts), parsed
 

@@ -772,6 +772,28 @@ def test_an_append_after_a_failed_one_starts_a_new_line(tmp_path, monkeypatch):
     assert reloaded.get("third").content == "three"
 
 
+def test_a_cache_line_that_cannot_be_read_is_a_miss_sent_once_and_its_new_line_serves_the_next_hit(tmp_path, monkeypatch):
+    request = _request("unreadable")
+    key = request_cache_key(request)
+    ResponseCache(tmp_path / "cache").put(key, ChatResponse(content="stored"))
+    cache = ResponseCache(tmp_path / "cache")
+    real_pread = os.pread
+
+    def input_output_error(fd, length, offset):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(os, "pread", input_output_error)
+    assert cache.get(key) is None
+    backend = ReplySequenceBackend(["fresh"])
+    gateway = Gateway(backend, cache=cache, sleep=lambda _: None)
+    assert gateway.complete(request).content == "fresh"
+    assert backend.sends == 1
+    monkeypatch.setattr(os, "pread", real_pread)
+    assert gateway.complete(request).content == "fresh"
+    assert backend.sends == 1
+    assert ResponseCache(tmp_path / "cache").get(key).content == "fresh"
+
+
 def test_a_cached_rerun_whose_cache_file_cannot_be_written_serves_every_hit(tmp_path, monkeypatch):
     requests = [_request(f"item {n}") for n in range(5)]
     first = Gateway(ReplySequenceBackend([f"reply {n}" for n in range(5)]), cache=ResponseCache(tmp_path / "cache"))

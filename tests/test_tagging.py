@@ -115,6 +115,13 @@ def test_literal_that_python_cannot_build_is_bad_object(payload):
     assert excinfo.value.reason == "BadObject"
 
 
+def test_a_final_marker_with_no_object_after_it_is_bad_object_even_after_an_earlier_object():
+    text = '#Aspect2Tags#\n{"Skill": ["recursion"]}\n#Aspect2Tags#\nSkill: recursion'
+    with pytest.raises(ParseError, match="^BadObject: no tag object after the final marker$") as excinfo:
+        parse_tagging_response(text)
+    assert excinfo.value.reason == "BadObject"
+
+
 def test_a_tag_payload_that_is_not_an_object_is_bad_object():
     # Not JSON, but a Python set literal: it parses, and is not a mapping.
     with pytest.raises(ParseError, match="^BadObject: tag payload is not an object$"):

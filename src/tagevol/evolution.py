@@ -189,13 +189,21 @@ def word_count(text: str) -> int:
     return len(text.split())
 
 
+def _normalized_words(text: str) -> str:
+    """``text``'s whitespace-separated words, each normalized as a tag, punctuation-only words dropped, single-spaced."""
+    return " ".join(word for _, word in normalized_tags(text.split()))
+
+
 def validate_result(
     parsed: ParsedEvolution, budget: int, cand: Sequence[str], original: str
 ) -> list[str]:
     """Check the parsed reply against the selection constraints; return flag codes.
 
-    All flags are advisory. The tag-presence check uses normalized substring
-    matching against the original instruction; the word-delta window is
+    All flags are advisory. A selected tag is already present when it occurs
+    in the whitespace-normalized, lowercased original (the cheap test) and its
+    words also occur there consecutively as whole words, each word normalized
+    as :func:`normalize_tag` does: "numbers" is present in "Add two numbers.",
+    "ion" is not present in "addition". The word-delta window is
     [10, 20 * budget] added words.
     """
     flags: list[str] = []
@@ -205,8 +213,10 @@ def validate_result(
     if not set(parsed.subset) <= cand_set:
         flags.append(FLAG_SUBSET_NOT_IN_CANDIDATES)
     original_norm = dedup_key(original.lower())
-    if any(tag in original_norm for tag in parsed.subset):
-        flags.append(FLAG_TAG_ALREADY_PRESENT)
+    if hits := [tag for tag in parsed.subset if tag in original_norm]:
+        words = f" {_normalized_words(original)} "
+        if any(f" {_normalized_words(tag)} " in words for tag in hits):
+            flags.append(FLAG_TAG_ALREADY_PRESENT)
     delta = word_count(parsed.final) - word_count(original)
     if not (WORD_DELTA_MIN <= delta <= WORD_DELTA_PER_BUDGET * budget):
         flags.append(FLAG_WORD_DELTA_OUT_OF_RANGE)

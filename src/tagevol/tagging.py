@@ -364,32 +364,47 @@ def save_pool(pool: TagPool, path: str | Path) -> None:
     write_json(payload, path)
 
 
-def _entry_or_object(obj: dict):
-    """Parse hook: an object exactly as :func:`save_pool` writes an entry becomes that entry.
+def _entry_parser():
+    """A parse hook for one load: an object exactly as :func:`save_pool` writes an entry becomes that entry.
 
     "Exactly" means the keys of ``_ENTRY_FIELDS`` and no other, well-typed
     values, and sorted lists without repeats, so the entry holds all the
     object did and :func:`_as_parsed` gives it back. Any other object stays
-    as parsed, for :func:`load_pool` to check field by field.
+    as parsed, for :func:`load_pool` to check field by field. Tags and aspects
+    are interned. One dict, which lives as long as the hook, makes equal
+    ``surface_forms`` tuples, equal ``sources`` tuples and equal source ids in
+    lists of two or more one object each across the entries the hook builds:
+    a pool that ``tag`` built repeats a seed's id in every entry the seed fed,
+    and a tag's forms and sources under every aspect it has. Ids are not
+    ``sys.intern``-ed, so they go when the pool goes.
     """
-    if obj.keys() != _ENTRY_FIELDS.keys():
-        return obj
-    tag, aspect, forms, sources, count = obj["tag"], obj["aspect"], obj["surface_forms"], obj["sources"], obj["count"]
-    # Written out, not read from the table: this runs once per object in the file. The sorted check types each list
-    # past its first item: str.__gt__(later, earlier) raises TypeError unless ``later`` is a string (str.__lt__ would not).
-    try:
-        if not (
-            type(tag) is str and type(aspect) is str and type(count) is int and type(forms) is list and type(sources) is list
-            and (not forms or type(forms[0]) is str) and (not sources or type(sources[0]) is str)
-            and all(map(str.__gt__, forms[1:], forms)) and all(map(str.__gt__, sources[1:], sources))
-        ):
+    shared: dict = {}
+
+    def entry_or_object(obj: dict):
+        if obj.keys() != _ENTRY_FIELDS.keys():
             return obj
-    except TypeError:
-        return obj
-    tag = sys.intern(tag)
-    if tag in forms:
-        forms[forms.index(tag)] = tag
-    return TagEntry(tag, sys.intern(aspect), tuple(forms), tuple(sources), count)
+        tag, aspect, forms, sources, count = obj["tag"], obj["aspect"], obj["surface_forms"], obj["sources"], obj["count"]
+        # Written out, not read from the table: this runs once per object in the file. The sorted check types each
+        # list past its first item: str.__gt__(later, earlier) raises TypeError unless ``later`` is a string (str.__lt__
+        # would not). A list of one item, the most common, needs only its first-item test.
+        try:
+            if not (
+                type(tag) is str and type(aspect) is str and type(count) is int and type(forms) is list and type(sources) is list
+                and (not forms or type(forms[0]) is str) and (not sources or type(sources[0]) is str)
+                and (len(forms) < 2 or all(map(str.__gt__, forms[1:], forms)))
+                and (len(sources) < 2 or all(map(str.__gt__, sources[1:], sources)))
+            ):
+                return obj
+        except TypeError:
+            return obj
+        tag = sys.intern(tag)
+        if tag in forms:
+            forms[forms.index(tag)] = tag
+        forms = tuple(forms)
+        sources = tuple(map(shared.setdefault, sources, sources)) if len(sources) > 1 else tuple(sources)
+        return TagEntry(tag, sys.intern(aspect), shared.setdefault(forms, forms), shared.setdefault(sources, sources), count)
+
+    return entry_or_object
 
 
 def _as_parsed(value):
@@ -412,9 +427,12 @@ def load_pool(path: str | Path) -> TagPool:
     plus the pool it returns. Any other item of ``entries`` is checked field
     by field (extra keys ignored, lists sorted without repeats) and built by
     the same hook. Everything outside ``entries`` reads as parsed, an object
-    that looks like an entry, in ``built_from`` say, included.
+    that looks like an entry, in ``built_from`` say, included. The hook is made
+    per call (:func:`_entry_parser`), so the entries of one load share their
+    equal tuples and source ids, and its dict is dropped when the call returns.
     """
-    payload = read_json(path, object_hook=_entry_or_object)
+    parse_entry = _entry_parser()
+    payload = read_json(path, object_hook=parse_entry)
     items = payload.pop("entries", None) if isinstance(payload, dict) else None
     try:
         payload = _as_parsed(payload)
@@ -435,7 +453,7 @@ def load_pool(path: str | Path) -> TagPool:
                 fields = {key: _checked(item, key, hint, expected) for key, (hint, expected) in _ENTRY_FIELDS.items()}
                 fields["surface_forms"] = sorted(set(fields["surface_forms"]))
                 fields["sources"] = sorted(set(fields["sources"]))
-                item = _entry_or_object(fields)
+                item = parse_entry(fields)
             if (item.aspect, item.tag) in entries:
                 raise ValueError(f"repeated entry for aspect {item.aspect!r}, tag {item.tag!r}")
             entries[(item.aspect, item.tag)] = item

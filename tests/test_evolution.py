@@ -351,6 +351,23 @@ def test_validate_flags_each_violation_independently():
     ]
 
 
+@pytest.mark.parametrize(
+    ("tag", "original", "present"),
+    [
+        ("ion", "Compute the addition of two numbers.", False),
+        ("rate", "Generate a list of primes.", False),
+        ("numbers", "Compute the addition of two numbers.", True),
+        ("two numbers", "Compute the addition of two numbers.", True),
+        ("two numbers", "Add TWO  numbers!", True),
+        ("on of two", "Compute the addition of two numbers.", False),
+        ("c++ templates", "Explain C++ templates.", True),
+    ],
+)
+def test_a_tag_is_already_present_only_as_whole_consecutive_words(tag, original, present):
+    parsed = ParsedEvolution(subset=[tag], plan="", rewritten="", final=f"{original} with {tag}")
+    assert (FLAG_TAG_ALREADY_PRESENT in validate_result(parsed, 1, [tag], original)) is present
+
+
 def test_sample_of_full_pool_is_a_permutation():
     pool = make_pool(["a", "b", "c"])
     batch = sample_candidates(pool, 3, random.Random(1))

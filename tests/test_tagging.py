@@ -370,6 +370,31 @@ def _pool_text(*entries) -> str:
     return json.dumps({"version": POOL_FORMAT_VERSION, "model": "m", "entries": list(entries)})
 
 
+def test_a_loaded_pool_keeps_one_object_per_equal_form_list_source_list_and_source_id(tmp_path):
+    shared = {"surface_forms": ["Loops", "loops"], "sources": ["r1", "r2"], "count": 2}
+    path = tmp_path / "pool.json"
+    path.write_text(
+        _pool_text(
+            {"tag": "loops", "aspect": "skill", **shared},
+            {"tag": "loops", "aspect": "topic", **shared},
+            # Unsorted lists and an extra key take the field-by-field path, which builds through the same hook.
+            {"tag": "loops", "aspect": "format", **shared, "sources": ["r2", "r1"], "note": 1},
+            {"tag": "sorting", "aspect": "skill", "surface_forms": ["sorting"], "sources": ["r2", "r3"], "count": 2},
+        ),
+        encoding="utf-8",
+    )
+    entries = load_pool(path).entries
+    skill, topic, fmt = entries[("skill", "loops")], entries[("topic", "loops")], entries[("format", "loops")]
+    assert skill.surface_forms == ("Loops", "loops") and skill.sources == ("r1", "r2")
+    assert skill.surface_forms is topic.surface_forms is fmt.surface_forms
+    assert skill.sources is topic.sources is fmt.sources
+    assert skill.surface_forms[1] is skill.tag
+    assert entries[("skill", "sorting")].sources[0] is skill.sources[1]
+    again = load_pool(path).entries[("skill", "loops")]
+    assert again == skill
+    assert again.sources is not skill.sources and again.sources[1] is not skill.sources[1]
+
+
 def test_load_rejects_corrupted_pool(tmp_path):
     path = tmp_path / "pool.json"
     path.write_text(_pool_text(GOOD_POOL_ENTRY), encoding="utf-8")
@@ -568,7 +593,7 @@ def test_loading_a_large_pool_peaks_near_the_size_of_the_pool(large_pool, tmp_pa
     # The parser must hold the file text while it builds the entries, so both
     # bounds are in file sizes.
     size = path.stat().st_size
-    assert kept < 2.5 * size
+    assert kept < 1.5 * size
     assert peak < 3 * size
 
 

@@ -17,7 +17,7 @@ import random
 import sys
 import typing
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import LoadError, PreconditionError, StageFailed, TagEvolError, WriteError
@@ -65,22 +65,23 @@ class RunConfig:
     """Effective run configuration: config file values overridden by flags.
 
     Defaults mirror the library's; the library calls check every value.
+    Each field with a help text in its metadata is a common flag (:func:`_add_common_flags`).
     """
 
-    endpoint: str | None = None
-    model: str | None = None
+    endpoint: str | None = field(default=None, metadata={"help": "chat-completion endpoint URL"})
+    model: str | None = field(default=None, metadata={"help": "model id sent to the backend"})
     models: dict[typing.Literal["tag", "evolve", "respond", "stats"], str] = field(default_factory=dict)
-    seed: int = 0
-    candidate_size: int = DEFAULT_CANDIDATE_SIZE
+    seed: int = field(default=0, metadata={"help": "master rng seed (default {})"})
+    candidate_size: int = field(default=DEFAULT_CANDIDATE_SIZE, metadata={"help": "candidate tag batch size (default {})"})
     budgets: list[int] | None = None
-    max_in_flight: int = DEFAULT_MAX_IN_FLIGHT
-    retries: int = DEFAULT_RETRIES
-    temperature: float = DEFAULT_TEMPERATURE
-    response_temperature: float = RESPONSE_TEMPERATURE
-    max_tokens: int = DEFAULT_MAX_TOKENS
-    cache_dir: str = DEFAULT_CACHE_DIR
-    no_cache: bool = False
-    mock_script: str | None = None
+    max_in_flight: int = field(default=DEFAULT_MAX_IN_FLIGHT, metadata={"help": "max concurrent backend requests (default {})"})
+    retries: int = field(default=DEFAULT_RETRIES, metadata={"help": "transient-failure retries per request, and fresh-reply retries per unparseable reply (default {}); 401/403 are never retried"})
+    temperature: float = field(default=DEFAULT_TEMPERATURE, metadata={"help": "sampling temperature for tagging/evolution (default {})"})
+    response_temperature: float = field(default=RESPONSE_TEMPERATURE, metadata={"help": "sampling temperature for responses (default {})"})
+    max_tokens: int = field(default=DEFAULT_MAX_TOKENS, metadata={"help": "max output tokens (default {})"})
+    cache_dir: str = field(default=DEFAULT_CACHE_DIR, metadata={"help": "response cache directory (default {})"})
+    no_cache: bool = field(default=False, metadata={"help": "disable the response cache"})
+    mock_script: str | None = field(default=None, metadata={"help": "JSON mock script; replaces the HTTP backend"})
 
     def decoding(self, stage: str) -> dict:
         """The ``model``, ``temperature`` and ``max_tokens`` keywords of ``stage``'s library call."""
@@ -311,21 +312,14 @@ def cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    # Flags default to None ("not given"); the "(default N)" texts quote RunConfig.
-    d = RunConfig()
+    """``--config``, then one flag per :class:`RunConfig` field with a help text, in field order. A flag is typed
+    as its field (``store_true`` for a bool) and is None when not given; a "{}" in its help quotes the default."""
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--endpoint", help="chat-completion endpoint URL")
-    parser.add_argument("--model", help="model id sent to the backend")
-    parser.add_argument("--seed", type=int, help=f"master rng seed (default {d.seed})")
-    parser.add_argument("--candidate-size", dest="candidate_size", type=int, help=f"candidate tag batch size (default {d.candidate_size})")
-    parser.add_argument("--max-in-flight", dest="max_in_flight", type=int, help=f"max concurrent backend requests (default {d.max_in_flight})")
-    parser.add_argument("--retries", type=int, help=f"transient-failure retries per request, and fresh-reply retries per unparseable reply (default {d.retries}); 401/403 are never retried")
-    parser.add_argument("--temperature", type=float, help=f"sampling temperature for tagging/evolution (default {d.temperature})")
-    parser.add_argument("--response-temperature", dest="response_temperature", type=float, help=f"sampling temperature for responses (default {d.response_temperature})")
-    parser.add_argument("--max-tokens", dest="max_tokens", type=int, help=f"max output tokens (default {d.max_tokens})")
-    parser.add_argument("--cache-dir", dest="cache_dir", help=f"response cache directory (default {d.cache_dir})")
-    parser.add_argument("--no-cache", dest="no_cache", action="store_true", default=None, help="disable the response cache")
-    parser.add_argument("--mock-script", dest="mock_script", help="JSON mock script; replaces the HTTP backend")
+    for f in fields(RunConfig):
+        if "help" in f.metadata:
+            hint = _CONFIG_TYPES[f.name]
+            kind = {"action": "store_true"} if hint is bool else {"type": hint} if hint in (int, float) else {}
+            parser.add_argument("--" + f.name.replace("_", "-"), default=None, help=f.metadata["help"].format(f.default), **kind)
 
 
 def build_parser() -> argparse.ArgumentParser:

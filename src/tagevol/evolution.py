@@ -83,8 +83,9 @@ _MARKER_RE = re.compile(
     re.IGNORECASE,
 )
 _SECTION_ORDER = ("subset", "plan", "rewritten", "final")
-# A "Step N" label that starts the line of a marker; searched only in the few characters before it.
-_STEP_LABEL_RE = re.compile(r"^[ \t]*\**step[ \t]*\d+[\s*:]*\Z", re.IGNORECASE | re.MULTILINE)
+# Decoration that starts a marker's line ("#", "*", ">" or "-" runs, a "3." or "3)" number, a "Step 3" label),
+# searched only in the few characters before the marker; one character or token per repeat keeps backtracking short.
+_STEP_LABEL_RE = re.compile(r"^(?:[\s#*>:-]|\d+[.)]|step[ \t]*\d+[:.]?)*\Z", re.IGNORECASE | re.MULTILINE)
 _RESIDUE_RE = re.compile(r"\A[\s:*`]+")
 
 
@@ -158,9 +159,9 @@ def parse_evolution_response(text: str) -> ParsedEvolution:
     """Split the reply into its four step sections by their ``#...#`` markers.
 
     Marker matching is case-insensitive; when a marker repeats, the last
-    occurrence wins. A "Step N" label that starts a marker's line, as the
-    prompt's own layout puts it, is no part of the section it ends. Subset tags come
-    back normalized.
+    occurrence wins. Decoration that starts a marker's line, a "Step N" label
+    as the prompt's own layout puts it, a heading, bullet or list number, is
+    no part of the section it ends. Subset tags come back normalized.
     """
     sections: dict[str | None, str] = {}  # None: the text before the first marker
     kind, end = None, 0

@@ -2,7 +2,8 @@
 
 Dataset files are UTF-8 with one JSON object per line. The only required
 field is "instruction"; "id", "response" and "meta" are optional. Evolved
-records additionally carry their provenance, the keys of ``_EVOLVED_FIELDS``.
+records additionally carry their provenance, the fields :class:`EvolvedRecord`
+adds: the loader reads their keys, types and defaults from that dataclass.
 Writes are deterministic: the same record list always produces byte-identical
 files. They are also atomic: a killed process leaves either the old file or
 the new one.
@@ -18,7 +19,7 @@ import sys
 import types
 import typing
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -70,10 +71,10 @@ class EvolvedRecord(InstructionRecord):
     parent_id: str
     round: int
     budget: int
-    selected_tags: list = field(default_factory=list)
-    candidate_tags: list = field(default_factory=list)
+    selected_tags: list[str] = field(default_factory=list)
+    candidate_tags: list[str] = field(default_factory=list)
     plan: str = ""
-    flags: list = field(default_factory=list)
+    flags: list[str] = field(default_factory=list)
     raw_digest: str = ""
 
     def __post_init__(self):
@@ -129,32 +130,26 @@ def _has_type(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
-def _checked(obj: dict, key: str, hint, expected: str, default=None):
+_HINT_WORDS = {str: "a string", int: "an integer", list[str]: "a list of strings", dict | None: "an object or null"}
+"""Each type hint a loaded field may have, in the words of its load error."""
+
+
+def _checked(obj: dict, key: str, hint, default=None):
     """``obj[key]`` when it fits ``hint`` (see :func:`_has_type`), or ``default`` (unless None)
     for an absent or null key. Values are checked, never coerced: any other value is a
-    ValueError naming ``key`` and ``expected``, the type in words."""
+    ValueError naming ``key`` and the type in ``_HINT_WORDS``."""
     value = obj.get(key)
     if value is None and default is not None:
         return default
     if not _has_type(value, hint):
-        raise ValueError(f"{key!r} must be {expected}, got {json.dumps(value, ensure_ascii=False)}")
+        raise ValueError(f"{key!r} must be {_HINT_WORDS[hint]}, got {json.dumps(value, ensure_ascii=False)}")
     return value
 
 
-_EVOLVED_FIELDS = {
-    "parent_id": (str, "a string", None),
-    "round": (int, "an integer", None),
-    "budget": (int, "an integer", None),
-    "selected_tags": (list[str], "a list of strings", []),
-    "candidate_tags": (list[str], "a list of strings", []),
-    "plan": (str, "a string", ""),
-    "flags": (list[str], "a list of strings", []),
-    "raw_digest": (str, "a string", ""),
-}
-"""The evolved-record schema, in field order: each provenance key with its type hint for
-:func:`_has_type`, the type its error names and the default for an absent or null value. A default
-of None marks a required key, and the required keys are the ones whose presence makes a record evolved."""
-_EVOLVED_MARKER_KEYS = tuple(key for key, (_, _, default) in _EVOLVED_FIELDS.items() if default is None)
+_EVOLVED_FIELDS = {key: hint for key, hint in typing.get_type_hints(EvolvedRecord).items() if key not in InstructionRecord.__dataclass_fields__}
+"""The provenance keys of an evolved record, in field order, each with its type hint for :func:`_has_type`.
+The keys of fields without a default are required, and their presence makes a record evolved."""
+_EVOLVED_MARKER_KEYS = tuple(f.name for f in fields(EvolvedRecord) if f.name in _EVOLVED_FIELDS and f.default is f.default_factory is MISSING)
 
 
 def record_from_json(obj: dict, *, default_id: str | None) -> InstructionRecord:
@@ -162,9 +157,9 @@ def record_from_json(obj: dict, *, default_id: str | None) -> InstructionRecord:
 
     Only types are checked here, never coerced; nonempty values and ranges
     are left to the record constructors. ``id`` defaults to ``default_id``.
-    The provenance keys, their types and their defaults are those of
-    ``_EVOLVED_FIELDS``. Provenance values of their exact JSON types take one type test
-    each; any other object takes the table's walk, which names the first wrong key.
+    The provenance keys, their types and their defaults are the fields of
+    :class:`EvolvedRecord`. Provenance values of their exact JSON types take one type test
+    each; any other object takes the walk over ``_EVOLVED_FIELDS``, which names the first wrong key.
 
     Its tag and flag lists hold interned strings (``sys.intern``): they come
     from closed sets, so equal tags are one object across records and loads.
@@ -204,12 +199,12 @@ def record_from_json(obj: dict, *, default_id: str | None) -> InstructionRecord:
     missing = [key for key in _EVOLVED_MARKER_KEYS if key not in obj]
     if missing:
         raise ValueError(f"evolved record missing fields: {', '.join(missing)}")
-    fields = {}
-    for key, (hint, expected, default) in _EVOLVED_FIELDS.items():
-        value = _checked(obj, key, hint, expected, default)
-        # A string list is interned, and absent or null is a fresh list, not the table's default.
-        fields[key] = list(map(sys.intern, value)) if hint == list[str] else value
-    return EvolvedRecord(id=record_id, instruction=instruction, response=response, meta=meta, **fields)
+    provenance = {}
+    for key, hint in _EVOLVED_FIELDS.items():
+        if key in _EVOLVED_MARKER_KEYS or obj.get(key) is not None:  # an absent or null optional key takes its field default
+            value = _checked(obj, key, hint)
+            provenance[key] = list(map(sys.intern, value)) if hint == list[str] else value
+    return EvolvedRecord(id=record_id, instruction=instruction, response=response, meta=meta, **provenance)
 
 
 def record_to_json(record: InstructionRecord) -> dict:

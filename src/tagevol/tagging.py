@@ -18,7 +18,7 @@ import unicodedata
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, get_type_hints
 
 from .errors import LoadError, ParseError, PreconditionError, StageFailed, TagEvolError
 from .gateway import (
@@ -343,14 +343,9 @@ def build_tag_pool(
     return pool, report
 
 
-_ENTRY_FIELDS = {
-    "tag": (str, "a string"),
-    "aspect": (str, "a string"),
-    "surface_forms": (list[str], "a list of strings"),
-    "sources": (list[str], "a list of strings"),
-    "count": (int, "an integer"),
-}
-"""The pool-entry schema: each key ``save_pool`` writes, with its type hint and the type its error names."""
+_ENTRY_FIELDS = {key: list[str] if hint == tuple[str, ...] else hint for key, hint in get_type_hints(TagEntry).items()}
+"""The pool-entry schema: each :class:`TagEntry` field ``save_pool`` writes, with its type hint
+for :func:`records._checked`; a tuple field is a JSON list of strings."""
 
 
 def save_pool(pool: TagPool, path: str | Path) -> None:
@@ -442,15 +437,15 @@ def load_pool(path: str | Path) -> TagPool:
             raise LoadError(path, 0, f"unsupported pool version {payload.get('version')!r}")
         if not isinstance(items, list):
             raise LoadError(path, 0, f"malformed pool: 'entries' must be a list, got {type(_as_parsed(items)).__name__}")
-        model = _checked(payload, "model", str, "a string", "")
-        built_from = _checked(payload, "built_from", dict | None, "an object or null")
+        model = _checked(payload, "model", str, "")
+        built_from = _checked(payload, "built_from", dict | None)
         entries: dict[tuple[str, str], TagEntry] = {}
         for item in items:
             if not isinstance(item, TagEntry):
                 item = _as_parsed(item)
                 if not isinstance(item, dict):
                     raise TypeError(f"entry is not an object: {json.dumps(item, ensure_ascii=False)}")
-                fields = {key: _checked(item, key, hint, expected) for key, (hint, expected) in _ENTRY_FIELDS.items()}
+                fields = {key: _checked(item, key, hint) for key, hint in _ENTRY_FIELDS.items()}
                 fields["surface_forms"] = sorted(set(fields["surface_forms"]))
                 fields["sources"] = sorted(set(fields["sources"]))
                 item = parse_entry(fields)

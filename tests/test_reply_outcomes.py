@@ -54,6 +54,12 @@ CASES = {
     "evolution.bold_labels": _evolution(*(f"**Step {n}** {m}" for n, m in enumerate(MARKERS, start=1))),
     "evolution.bold_markers": _evolution(*(f"**{m}**" for m in MARKERS)),
     "evolution.bold_label_and_marker": _evolution(*(f"**Step {n} {m}**" for n, m in enumerate(MARKERS, start=1))),
+    "evolution.quoted_markers": _evolution(*(f"> {m}" for m in MARKERS)),
+    "evolution.bulleted_labels": _evolution(*(f"- Step {n} {m}" for n, m in enumerate(MARKERS, start=1))),
+    "evolution.parenthesized_numbers": _evolution(*(f"{n}) {m}" for n, m in enumerate(MARKERS, start=1))),
+    "evolution.markdown_colon_labels": _evolution(*(f"## Step {n}: {m}" for n, m in enumerate(MARKERS, start=1))),
+    # Prose is no decoration: it stays in the section it ends.
+    "evolution.prose_before_markers": _evolution(*(f"here it is {m}" for m in MARKERS)),
     "evolution.markers_on_their_own_lines": _evolution(*(f"Step {n} {m}\n" for n, m in enumerate(MARKERS, start=1))),
     "evolution.final_not_finally": _evolution(*MARKERS[:3], "#Final Rewritten Instruction#:"),
     "evolution.spaced_markers": _evolution("# Tag Subset #:", "# PLAN #:", "# rewritten  instruction #:", "# Finally Rewritten Instruction #:"),

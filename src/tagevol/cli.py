@@ -47,7 +47,6 @@ from .records import (
     read_json,
     write_dataset,
     write_json,
-    write_manifest,
 )
 from .responding import generate_responses
 from .tagging import build_tag_pool, load_pool, save_pool
@@ -90,9 +89,6 @@ class RunConfig:
             raise PreconditionError("no model configured; pass --model or set it in the config file")
         temperature = self.response_temperature if stage == "respond" else self.temperature
         return {"model": model, "temperature": temperature, "max_tokens": self.max_tokens}
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 _CONFIG_TYPES = typing.get_type_hints(RunConfig)
@@ -157,6 +153,13 @@ def _emit(payload: dict, out: str | None = None) -> None:
     dump_json(payload, sys.stdout)
 
 
+def _write_with_manifest(records, path: str | Path, sources: list[str], parameters: dict) -> None:
+    """Write the dataset ``records`` to ``path``, then its manifest beside it."""
+    write_dataset(records, path)
+    manifest = build_manifest(name=Path(path).stem, sources=sources, records=records, parameters=parameters)
+    write_json(manifest, manifest_path(path))
+
+
 def cmd_tag(args: argparse.Namespace, config: RunConfig) -> int:
     records = load_dataset(args.seed_dataset)
     _check_out_path(args.out)
@@ -214,21 +217,14 @@ def cmd_evolve(args: argparse.Namespace, config: RunConfig) -> int:
         "rng_seed": config.seed,
         "candidate_size": config.candidate_size,
         "budgets": config.budgets,
-        "config": config.to_json(),
+        "config": asdict(config),
     }
     written = []
     for round_index, (budget, round_records) in enumerate(zip(config.budgets, result.rounds), start=1):
         if args.drop_flagged:
             round_records = [r for r in round_records if not r.flags]
         path = out_dir / f"round{round_index}_budget{budget}.jsonl"
-        write_dataset(round_records, path)
-        manifest = build_manifest(
-            name=path.stem,
-            sources=[str(args.seed_dataset), str(args.pool)],
-            records=round_records,
-            parameters=parameters,
-        )
-        write_manifest(manifest, manifest_path(path))
+        _write_with_manifest(round_records, path, [str(args.seed_dataset), str(args.pool)], parameters)
         written.append({"path": str(path), "round": round_index, "budget": budget, "records": len(round_records)})
     write_json(result.failures, out_dir / "failures.json")
     _emit({"rounds": written, "failures": len(result.failures)})
@@ -267,15 +263,8 @@ def cmd_merge(args: argparse.Namespace, config: RunConfig) -> int:
     repeated = [record_id for record_id, count in Counter(r.id for r in merged).items() if count > 1]
     if repeated:
         raise LoadError(args.out, 0, f"duplicate record id {repeated[0]!r}: two inputs give it different instructions; nothing written")
-    write_dataset(merged, args.out)
     sources = [str(p) for p in ([args.seed_dataset] if args.include_seed else []) + args.rounds]
-    manifest = build_manifest(
-        name=Path(args.out).stem,
-        sources=sources,
-        records=merged,
-        parameters={"include_seed": bool(args.include_seed), "config": config.to_json()},
-    )
-    write_manifest(manifest, manifest_path(args.out))
+    _write_with_manifest(merged, args.out, sources, {"include_seed": bool(args.include_seed), "config": asdict(config)})
     _emit({"dataset": str(args.out), "records": len(merged)})
     return EXIT_OK
 

@@ -12,6 +12,7 @@ may filter on flags downstream.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import random
@@ -87,6 +88,9 @@ _SECTION_ORDER = ("subset", "plan", "rewritten", "final")
 # searched only in the few characters before the marker; one character or token per repeat keeps backtracking short.
 _STEP_LABEL_RE = re.compile(r"^(?:[\s#*>:-]|\d+[.)]|step[ \t]*\d+[:.]?)*\Z", re.IGNORECASE | re.MULTILINE)
 _RESIDUE_RE = re.compile(r"\A[\s:*`]+")
+# A fence around a whole section: an opening fence with any language tag, no fence line inside, a closing fence last.
+_FENCED_RE = re.compile(r"[\s:*]*```[^`\n]*\n((?:(?![ \t]*```).*\n)*)[ \t]*```")
+_BULLET_RE = re.compile(r"(?:[-*•]|\d+[.)]) +(.*)")
 
 
 @dataclass(frozen=True)
@@ -126,14 +130,16 @@ def build_evolution_prompt(record: InstructionRecord, budget: int, cand: Sequenc
 
 
 def _clean_section(text: str) -> str:
-    """Trim a section body, dropping leading colon/markdown residue from the marker line."""
-    return _RESIDUE_RE.sub("", text.strip())
+    """Trim a section body, dropping leading colon/markdown residue from the marker line and one code fence around it all."""
+    fenced = _FENCED_RE.fullmatch(text := text.strip())
+    return _RESIDUE_RE.sub("", fenced[1].strip() if fenced else text)
 
 
 def _parse_subset(section: str) -> list[str]:
-    """Read the step-1 tag list: JSON array, quoted bracket list, or comma line.
+    """Read the step-1 tag list: a JSON or Python list, else bullet lines, else the first line split at commas.
 
-    A list nested too deeply to parse is :class:`ParseError` ``BadSubset``.
+    Bullets (``-``, ``*``, ``•``, ``1.`` or ``1)`` and a space) are read from the first nonblank line, if it is one,
+    to the first nonblank line that is not. A list nested too deeply to parse is :class:`ParseError` ``BadSubset``.
     """
     text = _clean_section(section)
     bracket = extract_balanced(text, "[", "]")
@@ -146,9 +152,10 @@ def _parse_subset(section: str) -> list[str]:
     if isinstance(value, (list, tuple)):
         items = [str(v) for v in value]
     else:
-        line = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
-        line = line.strip("[]")
-        items = [piece.strip().strip("'\"") for piece in line.split(",")]
+        # Bullets are read before _clean_section strips a leading "*"; normalize_tag strips edge brackets and quotes.
+        lines = [ln.strip() for ln in section.lstrip(" \t:").splitlines() if ln.strip(" \t:*`")]
+        bullets = [bullet[1] for bullet in itertools.takewhile(bool, map(_BULLET_RE.match, lines))]
+        items = bullets or next((ln for ln in text.splitlines() if ln.strip()), "").split(",")
     tags = list(dict.fromkeys(tag for _, tag in normalized_tags(items)))
     if not tags:
         raise ParseError("BadSubset", f"no usable tags in step 1 subset: {text[:80]!r}")
@@ -161,7 +168,8 @@ def parse_evolution_response(text: str) -> ParsedEvolution:
     Marker matching is case-insensitive; when a marker repeats, the last
     occurrence wins. Decoration that starts a marker's line, a "Step N" label
     as the prompt's own layout puts it, a heading, bullet or list number, is
-    no part of the section it ends. Subset tags come back normalized.
+    no part of the section it ends, and one code fence around a whole section
+    is dropped. Subset tags come back normalized, read by :func:`_parse_subset`.
     """
     sections: dict[str | None, str] = {}  # None: the text before the first marker
     kind, end = None, 0
@@ -270,8 +278,6 @@ def evolve_record(
     return EvolvedRecord(
         id=f"{record.id}:round{round_index}",
         instruction=parsed.final,
-        response=None,
-        meta={},
         parent_id=record.id,
         round=round_index,
         budget=budget,

@@ -23,7 +23,7 @@ import threading
 import time
 import urllib.parse
 import weakref
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -83,7 +83,7 @@ def user_message(content: str) -> ChatMessage:
 
 @dataclass(frozen=True)
 class ChatRequest:
-    """One chat-completion request; it alone declares the decoding params, the only fields its constructor checks."""
+    """One chat-completion request; its fields are the POST body and the cache key, and it checks the decoding params."""
 
     model: str
     messages: tuple[ChatMessage, ...]
@@ -120,16 +120,9 @@ def prompt_digest(messages: Iterable[ChatMessage]) -> str:
 
 
 def request_cache_key(request: ChatRequest) -> str:
-    """Cache key covering model, messages and decoding params."""
-    payload = _KEY_ENCODER.encode(
-        {
-            "model": request.model,
-            "messages": [[m.role, m.content] for m in request.messages],
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
-            "top_p": None,  # no request sets it; kept so existing cache keys do not change
-        }
-    )
+    """Cache key over every :class:`ChatRequest` field, the messages as ``[role, content]`` pairs."""
+    # No request sets "top_p"; it stays so existing cache keys hold, and a top_p field would override it.
+    payload = _KEY_ENCODER.encode({"top_p": None, **vars(request), "messages": [[m.role, m.content] for m in request.messages]})
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -141,8 +134,8 @@ class MockBackend:
     key twice keeps the last registration and logs a warning.
     """
 
-    def __init__(self, script: dict[str, str] | None = None):
-        self._script = dict(script or {})
+    def __init__(self):
+        self._script: dict[str, str] = {}
 
     @classmethod
     def from_script_file(cls, path: str | Path) -> "MockBackend":
@@ -176,9 +169,9 @@ class MockBackend:
 class HttpBackend:
     """POSTs chat-completion requests to an HTTP endpoint with the standard library.
 
-    Body: {"model", "messages": [{"role", "content"}], "temperature",
-    "max_tokens"}, as ASCII-escaped JSON. The completion is read from the
-    first choice's message content; a ``usage`` that is not an object or a
+    Body: the :class:`ChatRequest`'s fields in declaration order, each message
+    as {"role", "content"}, in ASCII-escaped JSON. The completion is read from
+    the first choice's message content; a ``usage`` that is not an object or a
     ``finish_reason`` that is not text is a :class:`MalformedBackendReply`.
     The credential comes only from the TAGEVOL_API_KEY environment variable,
     and is sent only to the endpoint itself: a redirected request carries none.
@@ -221,13 +214,7 @@ class HttpBackend:
         import urllib.error
         import urllib.request
 
-        body = {
-            "model": request.model,
-            "messages": [{"role": m.role, "content": m.content} for m in request.messages],
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
-        }
-        data = json.dumps(body, allow_nan=False).encode("ascii")
+        data = json.dumps(asdict(request), allow_nan=False).encode("ascii")
         post = urllib.request.Request(self.endpoint, data=data, headers={"Content-Type": "application/json"})
         if self.api_key:
             # Unredirected: urllib copies ordinary headers onto a redirect's

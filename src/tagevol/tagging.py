@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import ast
 import json
-import logging
 import re
 import sys
 import unicodedata
@@ -29,8 +28,6 @@ from .gateway import (
     user_message,
 )
 from .records import InstructionRecord, _checked, read_json, write_json
-
-log = logging.getLogger(__name__)
 
 POOL_FORMAT_VERSION = 1
 

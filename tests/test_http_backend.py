@@ -5,6 +5,7 @@ import socket
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import fields, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -13,29 +14,32 @@ from helpers import run_python
 from tagevol.gateway import (
     AuthError,
     BackendError,
+    ChatMessage,
     ChatRequest,
     ExhaustedRetries,
     Gateway,
     HttpBackend,
     MalformedBackendReply,
     TransientBackendError,
+    request_cache_key,
     user_message,
 )
 
 
 class ScriptedHandler(BaseHTTPRequestHandler):
-    """Pops (status, payload) entries per POST; records request bodies."""
+    """Pops (status, payload) entries per POST; records request bodies, parsed and raw."""
 
     script: list[tuple[int, dict]] = []
     seen: list[dict] = []
+    seen_raw: list[bytes] = []
     seen_headers: list[dict] = []
     lock = threading.Lock()
 
     def do_POST(self):
-        length = int(self.headers.get("Content-Length", "0"))
-        body = json.loads(self.rfile.read(length)) if length else {}
+        raw = self.rfile.read(int(self.headers.get("Content-Length", "0")))
         with self.lock:
-            type(self).seen.append(body)
+            type(self).seen.append(json.loads(raw) if raw else {})
+            type(self).seen_raw.append(raw)
             type(self).seen_headers.append(dict(self.headers))
             status, payload = self.script.pop(0) if self.script else (200, _reply("fallback"))
         data = json.dumps(payload).encode("utf-8")
@@ -74,6 +78,7 @@ def _serving(handler):
 def server():
     ScriptedHandler.script = []
     ScriptedHandler.seen = []
+    ScriptedHandler.seen_raw = []
     ScriptedHandler.seen_headers = []
     with _serving(ScriptedHandler) as url:
         yield url
@@ -96,6 +101,42 @@ def test_posts_the_wire_protocol_and_reads_the_first_choice(server, monkeypatch)
     assert body["temperature"] == 0.2
     assert body["max_tokens"] == 64
     assert ScriptedHandler.seen_headers[0]["Authorization"] == "Bearer sekret"
+
+
+def _decorated_request():
+    """Non-ASCII text in two messages, and decoding away from the defaults."""
+    messages = (ChatMessage("system", "Be brief."), user_message("Größe — 世界 ✓"))
+    return ChatRequest(model="remote-model", messages=messages, temperature=1.25, max_tokens=77)
+
+
+def test_the_post_body_is_pinned_byte_for_byte(server):
+    ScriptedHandler.script = [(200, _reply("hello"))]
+    HttpBackend(server).send(_decorated_request())
+    assert ScriptedHandler.seen_raw == [
+        b'{"model": "remote-model", "messages": [{"role": "system", "content": "Be brief."}, '
+        b'{"role": "user", "content": "Gr\\u00f6\\u00dfe \\u2014 \\u4e16\\u754c \\u2713"}], '
+        b'"temperature": 1.25, "max_tokens": 77}'
+    ]
+
+
+# A second value for each ChatRequest field; a new field needs one here.
+_OTHER_VALUES = {
+    "model": "other-model",
+    "messages": (user_message("Größe — 世界 ✓"),),
+    "temperature": 0.5,
+    "max_tokens": 78,
+}
+
+
+def test_the_body_is_the_request_fields_and_each_field_moves_the_cache_key(server):
+    request = _decorated_request()
+    names = [f.name for f in fields(ChatRequest)]
+    assert list(_OTHER_VALUES) == names
+    ScriptedHandler.script = [(200, _reply("hello"))]
+    HttpBackend(server).send(request)
+    assert list(ScriptedHandler.seen[0]) == names
+    for name, value in _OTHER_VALUES.items():
+        assert request_cache_key(replace(request, **{name: value})) != request_cache_key(request), name
 
 
 def test_rate_limit_then_success_is_retried(server):

@@ -71,6 +71,8 @@ CASES = {
     # What follows the final section.
     "evolution.fenced_final": _evolution(*MARKERS[:3], MARKERS[3], final=f"\n```\n{FINAL}\n```"),
     "evolution.fenced_final_with_language": _evolution(*MARKERS[:3], MARKERS[3], final=f"\n```text\n{FINAL}\n```"),
+    # Two fenced blocks are no fence around the section: it stays as it is.
+    "evolution.two_fenced_blocks": _evolution(*MARKERS[:3], MARKERS[3], final=f"\n```\n{FINAL}\n```\n```\n{FINAL}\n```"),
     "evolution.trailing_note": _evolution(*MARKERS) + "\nNote: the rewrite keeps the original task.\n",
     "evolution.quoted_final": _evolution(*MARKERS[:3], MARKERS[3], final=f'"{FINAL}"'),
     # Subsets as models write them.
@@ -78,6 +80,11 @@ CASES = {
     "evolution.subset_python_list": _evolution(*MARKERS).replace(SUBSET, "['loops', 'recursion']"),
     "evolution.subset_bare_words": _evolution(*MARKERS).replace(SUBSET, "[loops, recursion]"),
     "evolution.subset_bullets": _evolution(*MARKERS).replace(SUBSET, "\n- loops\n- recursion"),
+    "evolution.subset_star_bullets": _evolution(*MARKERS).replace(SUBSET, "\n* loops\n* recursion"),
+    "evolution.subset_numbered_bullets": _evolution(*MARKERS).replace(SUBSET, "\n1. loops\n2) recursion"),
+    "evolution.subset_bullets_then_prose": _evolution(*MARKERS).replace(SUBSET, "\n- loops\n- recursion\nBoth deepen the task."),
+    # A comma line keeps the first-line rule; the bulleted note after it is not read.
+    "evolution.subset_comma_line_then_bulleted_note": _evolution(*MARKERS).replace(SUBSET, "loops, recursion\n- note: both deepen the task"),
     "evolution.subset_empty": _evolution(*MARKERS).replace(SUBSET, "[]"),
     # Missing sections.
     "evolution.no_final": _evolution(*MARKERS[:3], "Step 4:"),
